@@ -63,7 +63,8 @@ val solve_equal_probability :
 
 (** Incremental per-link used-connection-slot table — the rounding
     loop's O(route) replacement for rescanning every pinned pair through
-    [routes_through] at each clamp (O(K^2) pairs x O(K^2) rescan).
+    [routes_through] at each clamp (every pinned pair against every
+    link's crossing pairs).
     Exposed for the property test against {!recompute_route_slack}. *)
 module Slots : sig
   type t

@@ -4,9 +4,7 @@ module Wal = Dls_util.Wal
 let ( let* ) = Result.bind
 
 type t = {
-  path : string;
   oc : out_channel;
-  fingerprint : string;
   mutable seq : int;  (* next sequence number to append *)
 }
 
@@ -28,11 +26,9 @@ let record_of_line line =
   let* m = Protocol.mutation_of_json j in
   Ok (seq, m)
 
-let manifest_to_string ~fingerprint ~entries =
+let manifest_to_string ~fingerprint =
   J.to_string
-    (J.Obj
-       [ ("daemon_wal", J.Num 1.0); ("platform", J.Str fingerprint);
-         ("entries", J.Num (float_of_int entries)) ])
+    (J.Obj [ ("daemon_wal", J.Num 1.0); ("platform", J.Str fingerprint) ])
   ^ "\n"
 
 let check_manifest ~path ~fingerprint =
@@ -56,10 +52,6 @@ let check_manifest ~path ~fingerprint =
            "%s: journal belongs to a different platform (%s, expected %s)"
            mpath recorded fingerprint)
     else Ok ()
-
-let write_manifest t =
-  Wal.write_atomic ~path:(manifest_path t.path)
-    (manifest_to_string ~fingerprint:t.fingerprint ~entries:t.seq)
 
 let open_ ~path ~platform =
   let state = State.create platform in
@@ -94,14 +86,12 @@ let open_ ~path ~platform =
             (State.apply state m))
       (Ok ()) replayed
   in
-  let t = { path; oc = Wal.open_append ~path; fingerprint; seq = State.seq state } in
-  write_manifest t;
-  Ok (state, t)
+  Wal.write_atomic ~path:(manifest_path path) (manifest_to_string ~fingerprint);
+  Ok (state, { oc = Wal.open_append ~path; seq = State.seq state })
 
 let append t m =
   Wal.append_line t.oc (record_to_line ~seq:t.seq m);
-  t.seq <- t.seq + 1;
-  write_manifest t
+  t.seq <- t.seq + 1
 
 let entries t = t.seq
 

@@ -13,7 +13,8 @@
       to open rather than silently reconstructing a different state.
     - A manifest at [path ^ ".manifest"] pins the nominal platform's
       fingerprint; opening a journal against a different platform is
-      refused (the WAL encodes deltas relative to that platform).
+      refused (the WAL encodes deltas relative to that platform).  It
+      is written once, at {!open_}: appends touch only the log.
     - A torn final line (the kill landed mid-append) is dropped and the
       file truncated back to the valid prefix, exactly as the Engine
       does for campaign logs. *)
@@ -33,8 +34,7 @@ val open_ :
 
 val append : t -> Protocol.mutation -> unit
 (** Journal one {e already validated and applied} mutation: append the
-    record, flush, and atomically refresh the manifest.  Call only
-    after {!State.apply} returned [Ok]. *)
+    record and flush.  Call only after {!State.apply} returned [Ok]. *)
 
 val entries : t -> int
 (** Records journaled so far (replayed + appended). *)

@@ -107,6 +107,8 @@ let run ?(mode = Closed) ?(budget_ms = 2000.0) ?(timeout = 10.0)
     ?(mutate_every = 0) ~addr ~seed ~clients ~duration_s ~k () =
   if clients < 1 then invalid_arg "Load.run: clients must be >= 1";
   if k < 1 then invalid_arg "Load.run: k must be >= 1";
+  (* a write to a connection the server dropped is an error to count *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let deadline = Unix.gettimeofday () +. duration_s in
   let agg_lock = Mutex.create () in
   let accs = ref [] in

@@ -50,7 +50,9 @@ val run :
     reply wait; [mutate_every = 0] (default) disables the mutator.
     [k] is the platform's cluster count (bounds the mutator's random
     cluster picks).  A transient IO failure costs one [errors] count
-    and a reconnect, not the rest of that client's run. *)
+    and a reconnect, not the rest of that client's run; SIGPIPE is set
+    to ignored, so a write to a connection the server dropped is such
+    a failure rather than the death of the process. *)
 
 val percentile : float array -> float -> float
 (** [percentile sorted p] with [p] in [[0,1]] by nearest-rank on a

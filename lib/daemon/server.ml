@@ -177,6 +177,9 @@ let serve ?(should_stop = fun () -> false) ?(on_ready = fun () -> ())
   match validate config with
   | Error _ as e -> e
   | Ok () ->
+    (* A peer that closes before its reply is written must surface as
+       EPIPE in [do_write], not kill the process. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     let listen_fd, cleanup =
       try
         let fd, cleanup = bind_listen config.addr in

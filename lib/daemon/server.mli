@@ -84,4 +84,6 @@ val serve :
     [Error] on a setup failure (bad address, bind); runtime exceptions
     propagate (see above).  The listen socket and every connection are
     closed on the way out, however the loop exits; the journal handle
-    stays open (the caller owns it). *)
+    stays open (the caller owns it).  Sets SIGPIPE to ignored for the
+    whole process, so a peer that hangs up before its reply is written
+    costs only its connection. *)

@@ -280,9 +280,9 @@ let degraded_platform st =
     Array.init (Platform.num_backbones p) (fun i ->
         let b = Platform.backbone p i in
         if st.link_down.(i) then
-          (* bw must stay positive for [Platform.make]; an unusable link
-             is expressed as a zero connection cap, which Eq. 7e and the
-             residual tracker both honour *)
+          (* bw must stay positive for [Platform.with_capacities]; an
+             unusable link is expressed as a zero connection cap, which
+             Eq. 7e and the residual tracker both honour *)
           { b with Platform.max_connect = 0 }
         else
           {
@@ -290,18 +290,7 @@ let degraded_platform st =
             max_connect = st.link_maxcon.(i);
           })
   in
-  let routes = ref [] in
-  let n = Platform.num_clusters p in
-  for k = 0 to n - 1 do
-    for l = 0 to n - 1 do
-      if k <> l then
-        match Platform.route p k l with
-        | Some links -> routes := (k, l, links) :: !routes
-        | None -> ()
-    done
-  done;
-  Platform.make_with_routes ~clusters ~topology:(Platform.topology p) ~backbones
-    ~routes:!routes
+  Platform.with_capacities p ~clusters ~backbones
 
 let degraded_at p plan ~time =
   let st = start p plan in

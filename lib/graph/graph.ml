@@ -2,6 +2,7 @@ type t = {
   n : int;
   edge_ends : (int * int) array;
   adj : (int * int) list array;  (* (neighbor, edge_id), reversed insertion order *)
+  sorted_adj : (int * int) array array;  (* [adj] ascending by (neighbor, edge_id) *)
 }
 
 let create ~n ~edges =
@@ -16,7 +17,15 @@ let create ~n ~edges =
       adj.(u) <- (v, id) :: adj.(u);
       adj.(v) <- (u, id) :: adj.(v))
     edge_ends;
-  { n; edge_ends; adj }
+  let sorted_adj =
+    Array.map
+      (fun nbrs ->
+        let a = Array.of_list nbrs in
+        Array.sort Stdlib.compare a;
+        a)
+      adj
+  in
+  { n; edge_ends; adj; sorted_adj }
 
 let num_nodes g = g.n
 let num_edges g = Array.length g.edge_ends
@@ -90,43 +99,52 @@ let bfs_distances g ~src =
   done;
   dist
 
+type bfs_tree = {
+  src : int;
+  parent : int array;  (* -1 for the source and unreachable nodes *)
+  parent_edge : int array;
+}
+
+let bfs_tree g ~src =
+  if src < 0 || src >= g.n then invalid_arg "Graph.bfs_tree: bad node";
+  (* Neighbours are scanned in ascending (node, edge id) order, so the
+     tree, and every path read from it, is deterministic. *)
+  let parent = Array.make g.n (-1) in
+  let parent_edge = Array.make g.n (-1) in
+  let seen = Array.make g.n false in
+  seen.(src) <- true;
+  let queue = Queue.create () in
+  Queue.add src queue;
+  while not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    Array.iter
+      (fun (v, e) ->
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          parent.(v) <- u;
+          parent_edge.(v) <- e;
+          Queue.add v queue
+        end)
+      g.sorted_adj.(u)
+  done;
+  { src; parent; parent_edge }
+
+let tree_path tr ~dst =
+  if dst < 0 || dst >= Array.length tr.parent then
+    invalid_arg "Graph.tree_path: bad node";
+  if dst <> tr.src && tr.parent.(dst) < 0 then None
+  else begin
+    let rec walk v nodes edges_acc =
+      if v = tr.src then (v :: nodes, edges_acc)
+      else walk tr.parent.(v) (v :: nodes) (tr.parent_edge.(v) :: edges_acc)
+    in
+    Some (walk dst [] [])
+  end
+
 let shortest_path g ~src ~dst =
   if src < 0 || src >= g.n || dst < 0 || dst >= g.n then
     invalid_arg "Graph.shortest_path: bad node";
-  if src = dst then Some ([ src ], [])
-  else begin
-    (* BFS storing parents; neighbor lists are scanned in ascending node
-       order so tie-breaking is deterministic. *)
-    let parent = Array.make g.n (-1) in
-    let parent_edge = Array.make g.n (-1) in
-    let dist = Array.make g.n max_int in
-    dist.(src) <- 0;
-    let queue = Queue.create () in
-    Queue.add src queue;
-    while not (Queue.is_empty queue) do
-      let u = Queue.pop queue in
-      let nbrs =
-        List.sort (fun (a, ea) (b, eb) -> Stdlib.compare (a, ea) (b, eb)) g.adj.(u)
-      in
-      List.iter
-        (fun (v, e) ->
-          if dist.(v) = max_int then begin
-            dist.(v) <- dist.(u) + 1;
-            parent.(v) <- u;
-            parent_edge.(v) <- e;
-            Queue.add v queue
-          end)
-        nbrs
-    done;
-    if dist.(dst) = max_int then None
-    else begin
-      let rec walk v nodes edges_acc =
-        if v = src then (v :: nodes, edges_acc)
-        else walk parent.(v) (v :: nodes) (parent_edge.(v) :: edges_acc)
-      in
-      Some (walk dst [] [])
-    end
-  end
+  tree_path (bfs_tree g ~src) ~dst
 
 let complete n =
   let edges = ref [] in

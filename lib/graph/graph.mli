@@ -43,11 +43,25 @@ val components : t -> int array
 val bfs_distances : t -> src:int -> int array
 (** Hop distances from [src]; [max_int] for unreachable nodes. *)
 
+type bfs_tree
+(** Minimum-hop paths from one source to every node. *)
+
+val bfs_tree : t -> src:int -> bfs_tree
+(** One breadth-first search from [src], scanning neighbours in
+    ascending (node, edge id) order: ties are broken toward smaller node
+    ids, then smaller edge ids.
+    @raise Invalid_argument on a bad node. *)
+
+val tree_path : bfs_tree -> dst:int -> (int list * int list) option
+(** The tree's path to [dst], as {!shortest_path} returns it; O(hops).
+    @raise Invalid_argument on a bad node. *)
+
 val shortest_path : t -> src:int -> dst:int -> (int list * int list) option
 (** Minimum-hop path as [(node_list, edge_id_list)], with
     [node_list = src :: ... :: dst] and one edge id per hop.  [None] when
     unreachable; [Some ([src], [])] when [src = dst].  Deterministic:
-    ties are broken toward smaller node ids. *)
+    [tree_path (bfs_tree g ~src) ~dst], so a caller that needs many
+    destinations should build the tree once. *)
 
 (** {2 Constructors used by tests and examples} *)
 

@@ -9,6 +9,9 @@ type t = {
   topology : G.t;
   backbones : backbone array;
   routes : int list option array array;  (* [k].[l] -> backbone ids *)
+  through : int array array;
+      (* [link] -> ascending [k * K + l] of every pair [k <> l] whose
+         route crosses it: Eq. 3's summation domain, packed *)
 }
 
 let check_inputs ~clusters ~topology ~backbones =
@@ -46,22 +49,53 @@ let check_route topology ~src ~dst links =
     links;
   if !pos <> dst then invalid_arg "Platform: route does not reach the destination router"
 
+(* One BFS per distinct source router answers every destination.
+   Clusters on one router get copies of its row: overrides write into
+   the table, and must not leak to a co-located cluster. *)
 let compute_routes ~clusters ~topology =
   let kk = Array.length clusters in
-  let routes = Array.make_matrix kk kk None in
-  for k = 0 to kk - 1 do
-    for l = 0 to kk - 1 do
-      if k = l then routes.(k).(l) <- Some []
-      else begin
-        match
-          G.shortest_path topology ~src:clusters.(k).router ~dst:clusters.(l).router
-        with
-        | Some (_, edge_ids) -> routes.(k).(l) <- Some edge_ids
-        | None -> routes.(k).(l) <- None
-      end
+  let router k = clusters.(k).router in
+  let rows = Array.make (G.num_nodes topology) [||] in
+  Array.init kk (fun k ->
+      if rows.(router k) = [||] then begin
+        let tree = G.bfs_tree topology ~src:(router k) in
+        rows.(router k) <-
+          Array.init kk (fun l -> Option.map snd (G.tree_path tree ~dst:(router l)))
+      end;
+      Array.copy rows.(router k))
+
+(* Packed link -> pairs index, in pair order; a pair whose route repeats
+   a link (an override may) is listed once. *)
+let build_through ~num_links routes =
+  let kk = Array.length routes in
+  let count = Array.make num_links 0 in
+  let last = Array.make num_links (-1) in
+  let each f =
+    Array.fill last 0 num_links (-1);
+    for k = 0 to kk - 1 do
+      for l = 0 to kk - 1 do
+        if k <> l then
+          match routes.(k).(l) with
+          | None -> ()
+          | Some links ->
+            let code = (k * kk) + l in
+            List.iter
+              (fun e ->
+                if last.(e) <> code then begin
+                  last.(e) <- code;
+                  f e code
+                end)
+              links
+      done
     done
-  done;
-  routes
+  in
+  each (fun e _ -> count.(e) <- count.(e) + 1);
+  let through = Array.map (fun n -> Array.make n 0) count in
+  Array.fill count 0 num_links 0;
+  each (fun e code ->
+      through.(e).(count.(e)) <- code;
+      count.(e) <- count.(e) + 1);
+  through
 
 let make_with_routes ~clusters ~topology ~backbones ~routes:overrides =
   check_inputs ~clusters ~topology ~backbones;
@@ -74,10 +108,23 @@ let make_with_routes ~clusters ~topology ~backbones ~routes:overrides =
       check_route topology ~src:clusters.(k).router ~dst:clusters.(l).router links;
       routes.(k).(l) <- Some links)
     overrides;
-  { clusters; topology; backbones; routes }
+  let through = build_through ~num_links:(Array.length backbones) routes in
+  { clusters; topology; backbones; routes; through }
 
 let make ~clusters ~topology ~backbones =
   make_with_routes ~clusters ~topology ~backbones ~routes:[]
+
+let with_capacities t ~clusters ~backbones =
+  if Array.length clusters <> Array.length t.clusters then
+    invalid_arg "Platform.with_capacities: cluster count changed";
+  Array.iteri
+    (fun k c ->
+      if c.router <> t.clusters.(k).router then
+        invalid_arg
+          (Printf.sprintf "Platform.with_capacities: cluster %d moved router" k))
+    clusters;
+  check_inputs ~clusters ~topology:t.topology ~backbones;
+  { t with clusters; backbones }
 
 let num_clusters t = Array.length t.clusters
 let num_routers t = G.num_nodes t.topology
@@ -112,17 +159,7 @@ let routes_through t link =
   if link < 0 || link >= num_backbones t then
     invalid_arg "Platform.routes_through: bad link";
   let kk = num_clusters t in
-  let acc = ref [] in
-  for k = kk - 1 downto 0 do
-    for l = kk - 1 downto 0 do
-      if k <> l then begin
-        match t.routes.(k).(l) with
-        | Some links when List.mem link links -> acc := (k, l) :: !acc
-        | Some _ | None -> ()
-      end
-    done
-  done;
-  !acc
+  Array.fold_right (fun code acc -> (code / kk, code mod kk) :: acc) t.through.(link) []
 
 let total_speed t = Array.fold_left (fun s c -> s +. c.speed) 0.0 t.clusters
 
@@ -141,6 +178,8 @@ let validate t =
             ~dst:t.clusters.(l).router links
       done
     done;
+    if t.through <> build_through ~num_links:(num_backbones t) t.routes then
+      failwith "link index disagrees with the route table";
     Ok ()
   with
   | Invalid_argument msg | Failure msg -> Error msg

@@ -35,7 +35,9 @@ val make :
     topology's nodes are routers and its edge ids index [backbones].
     Routes are computed once, as minimum-hop router paths with
     deterministic tie-breaking (the paper's routing is fixed but
-    otherwise unspecified).
+    otherwise unspecified): one breadth-first search per distinct
+    source router.  The link -> pairs index behind {!routes_through} is
+    built here too.
     @raise Invalid_argument if array lengths disagree with the topology,
     a cluster references a missing router, or a parameter is negative. *)
 
@@ -52,6 +54,14 @@ val make_with_routes :
     shortest paths.  Overridden routes are validated: the link sequence
     must form a path from [k]'s router to [l]'s router.
     @raise Invalid_argument on an invalid override. *)
+
+val with_capacities : t -> clusters:cluster array -> backbones:backbone array -> t
+(** [with_capacities p ~clusters ~backbones] is [p] with new cluster and
+    backbone parameters on the same topology, keeping [p]'s routes
+    (overrides included) and link index: no route is recomputed.  Used
+    for capacity-only changes such as fault-degraded platforms.
+    @raise Invalid_argument if the cluster count changes, a cluster
+    moves to another router, or the inputs fail {!make}'s checks. *)
 
 val num_clusters : t -> int
 val num_routers : t -> int
@@ -79,14 +89,16 @@ val route_bottleneck : t -> int -> int -> float option
 
 val routes_through : t -> int -> (int * int) list
 (** All ordered cluster pairs [(k, l)], [k <> l], whose route crosses the
-    given backbone link — the summation domain of Equation 3. *)
+    given backbone link — the summation domain of Equation 3 — sorted by
+    [k], then [l], each pair once.  Read from an index built with the
+    routes, in O(result). *)
 
 val total_speed : t -> float
 (** Sum of cluster speeds (an upper bound on aggregate throughput). *)
 
 val validate : t -> (unit, string) result
 (** Re-checks every internal invariant (parameter signs, route
-    well-formedness); used by property tests and after manual
-    construction. *)
+    well-formedness, the link index against the route table); used by
+    property tests and after manual construction. *)
 
 val pp : Format.formatter -> t -> unit

@@ -312,6 +312,35 @@ let test_journal_reopen_restores_state () =
     Alcotest.(check int) "sequence preserved" (D.State.seq state)
       (D.State.seq state')
 
+(* The manifest is written at open only: appends leave it alone, and
+   reopening writes it again. *)
+let test_journal_manifest_written_at_open () =
+  with_dir @@ fun dir ->
+  let pf = platform () in
+  let path = Filename.concat dir "wal.jsonl" in
+  let manifest = D.Journal.manifest_path path in
+  match D.Journal.open_ ~path ~platform:pf with
+  | Error e -> Alcotest.failf "journal open: %s" e
+  | Ok (state, journal) ->
+    Alcotest.(check bool) "written at open" true (Sys.file_exists manifest);
+    Sys.remove manifest;
+    List.iter
+      (fun m ->
+        match D.State.apply state m with
+        | Ok () -> D.Journal.append journal m
+        | Error e -> Alcotest.failf "generated mutation rejected: %s" e)
+      (gen_mutations pf (Prng.create ~seed:5) 5);
+    Alcotest.(check int) "entries counted" 5 (D.Journal.entries journal);
+    D.Journal.close journal;
+    Alcotest.(check bool) "appends leave it alone" false (Sys.file_exists manifest);
+    (match D.Journal.open_ ~path ~platform:pf with
+    | Ok (state', j) ->
+      D.Journal.close j;
+      Alcotest.(check bool) "replay without a manifest" true
+        (D.State.equal state state')
+    | Error e -> Alcotest.failf "reopen: %s" e);
+    Alcotest.(check bool) "rewritten at reopen" true (Sys.file_exists manifest)
+
 let test_journal_rejects_foreign_platform () =
   with_dir @@ fun dir ->
   let pf = platform () in
@@ -782,6 +811,41 @@ let test_server_crash_propagates () =
   | Some (Ok ()) -> Alcotest.fail "crash swallowed"
   | None -> Alcotest.fail "no exit result"
 
+(* Clients that send a get and hang up before the reply is written:
+   the server's write then fails with EPIPE.  The default SIGPIPE
+   disposition is restored first, so that the test relies on [serve]
+   ignoring the signal itself, not on an earlier test having started a
+   server; without that, the whole test process would die. *)
+let test_server_survives_abandoned_gets () =
+  with_dir @@ fun dir ->
+  Sys.set_signal Sys.sigpipe Sys.Signal_default;
+  let state = D.State.create (platform ~k:24 ()) in
+  for c = 0 to 11 do
+    match
+      D.State.apply state
+        (P.Register_app { app = Printf.sprintf "a%d" c; cluster = 2 * c; payoff = 1.0 })
+    with
+    | Ok () -> ()
+    | Error e -> Alcotest.fail e
+  done;
+  let h = start_server dir state None in
+  Fun.protect ~finally:(fun () -> stop_server h) @@ fun () ->
+  for i = 0 to 9 do
+    let fd = connect h in
+    let objective =
+      if i mod 2 = 0 then Dls_core.Lp_relax.Maxmin else Dls_core.Lp_relax.Sum
+    in
+    P.write_frame fd
+      (J.to_string
+         (P.request_to_json (P.Get_schedule { objective; budget_ms = Some 5000.0 })));
+    Unix.close fd
+  done;
+  let fd = connect h in
+  Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+  let r = request fd P.Health in
+  Alcotest.(check string) "health after abandoned gets" "ok" (status r);
+  Alcotest.(check bool) "server still running" true (Atomic.get h.h_result = None)
+
 (* ------------------------------------------------------------------ *)
 (* Supervisor                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -895,21 +959,28 @@ let test_supervisor_gives_up () =
                 ~load)))
       ()
   in
-  (* Crash it every time it comes up. *)
-  let rec crash_loop tries =
-    if tries > 0 && Atomic.get crasher then begin
-      (match
-         let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-         Unix.connect fd (Unix.ADDR_UNIX sock);
-         P.write_frame fd (J.to_string (P.request_to_json P.Crash));
-         Unix.close fd
-       with
-      | () -> ()
-      | exception Unix.Unix_error _ -> Unix.sleepf 0.05);
-      if Atomic.get result = None then crash_loop (tries - 1)
-    end
+  (* Crash it every time it comes up.  Bounded by time, not by tries:
+     connections that land on a server already crashing on an earlier
+     request are lost, and a burst of them must not use up the budget
+     while the next server is still to come.  Past the deadline the
+     supervisor is stopped, so the join below cannot hang. *)
+  let deadline = Unix.gettimeofday () +. 20.0 in
+  let rec crash_loop () =
+    if Atomic.get crasher && Atomic.get result = None then
+      if Unix.gettimeofday () > deadline then Atomic.set stop true
+      else begin
+        (match
+           let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+           Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+           Unix.connect fd (Unix.ADDR_UNIX sock);
+           P.write_frame fd (J.to_string (P.request_to_json P.Crash))
+         with
+        | () -> Unix.sleepf 0.01
+        | exception Unix.Unix_error _ -> Unix.sleepf 0.05);
+        crash_loop ()
+      end
   in
-  crash_loop 200;
+  crash_loop ();
   Thread.join thread;
   match Atomic.get result with
   | Some (Error msg) ->
@@ -1661,6 +1732,8 @@ let () =
       ( "journal",
         [ Alcotest.test_case "reopen restores state" `Quick
             test_journal_reopen_restores_state;
+          Alcotest.test_case "manifest written at open" `Quick
+            test_journal_manifest_written_at_open;
           Alcotest.test_case "foreign platform rejected" `Quick
             test_journal_rejects_foreign_platform;
           Alcotest.test_case "corrupt middle rejected" `Quick
@@ -1684,6 +1757,8 @@ let () =
           Alcotest.test_case "reaps slow clients" `Quick
             test_server_reaps_slow_clients;
           Alcotest.test_case "drain returns" `Quick test_server_drain_returns;
+          Alcotest.test_case "survives abandoned gets" `Quick
+            test_server_survives_abandoned_gets;
           Alcotest.test_case "crash propagates" `Quick
             test_server_crash_propagates ] );
       ( "supervisor",

@@ -195,6 +195,61 @@ let prop_bfs_triangle_inequality =
         (fun _ (u, v) ok -> ok && abs (d.(u) - d.(v)) <= 1)
         g true)
 
+(* One BFS per (src, dst) pair that stops at [dst], scanning each
+   visited node's neighbours after sorting them by (node, edge id): the
+   tie-breaking rule the one-tree-per-source search must reproduce. *)
+let reference_shortest_path g ~src ~dst =
+  let n = G.num_nodes g in
+  let parent = Array.make n (-1) and parent_edge = Array.make n (-1) in
+  let seen = Array.make n false in
+  seen.(src) <- true;
+  let queue = Queue.create () in
+  Queue.add src queue;
+  while (not seen.(dst)) && not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    List.iter
+      (fun (v, e) ->
+        if not seen.(v) then begin
+          seen.(v) <- true;
+          parent.(v) <- u;
+          parent_edge.(v) <- e;
+          Queue.add v queue
+        end)
+      (List.sort Stdlib.compare (G.neighbors g u))
+  done;
+  if not seen.(dst) then None
+  else
+    let rec walk v nodes es =
+      if v = src then (v :: nodes, es)
+      else walk parent.(v) (v :: nodes) (parent_edge.(v) :: es)
+    in
+    Some (walk dst [] [])
+
+let prop_shortest_path_matches_per_pair_bfs =
+  QCheck2.Test.make ~name:"shortest_path equals a per-pair BFS" ~count:200
+    QCheck2.Gen.(pair (int_range 1 12) (int_range 0 1_000_000))
+    (fun (n, seed) ->
+      (* sparse, often disconnected, with parallel edges *)
+      let rng = Prng.create ~seed in
+      let edges = ref [] in
+      for u = 0 to n - 1 do
+        for v = u + 1 to n - 1 do
+          if Prng.bool rng ~p:0.25 then edges := (u, v) :: !edges;
+          if Prng.bool rng ~p:0.05 then edges := (v, u) :: !edges
+        done
+      done;
+      let g = G.create ~n ~edges:!edges in
+      List.for_all
+        (fun src ->
+          let tree = G.bfs_tree g ~src in
+          List.for_all
+            (fun dst ->
+              let expected = reference_shortest_path g ~src ~dst in
+              G.shortest_path g ~src ~dst = expected
+              && G.tree_path tree ~dst = expected)
+            (List.init n Fun.id))
+        (List.init n Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Topology models                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -275,4 +330,5 @@ let () =
           Alcotest.test_case "barabasi-albert shape" `Quick test_barabasi_albert_shape ] );
       qsuite "graph-prop"
         [ prop_mis_matches_brute_force; prop_gnp_connected_after_repair;
-          prop_bfs_triangle_inequality; prop_topologies_valid_graphs ] ]
+          prop_bfs_triangle_inequality; prop_shortest_path_matches_per_pair_bfs;
+          prop_topologies_valid_graphs ] ]

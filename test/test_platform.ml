@@ -120,6 +120,198 @@ let test_make_validation () =
            ~clusters:[| { P.speed = 1.0; local_bw = 1.0; router = 0 } |]
            ~topology ~backbones:[||]))
 
+let test_with_capacities () =
+  let p = line3 () in
+  let clusters =
+    Array.init 3 (fun k -> { (P.cluster p k) with P.speed = float_of_int k })
+  in
+  let backbones =
+    [| { P.bw = 1.0; max_connect = 0 }; { P.bw = 2.0; max_connect = 7 } |]
+  in
+  let q = P.with_capacities p ~clusters ~backbones in
+  Alcotest.(check (float 0.0)) "new speed" 2.0 (P.speed q 2);
+  Alcotest.(check int) "new cap" 7 (P.backbone q 1).P.max_connect;
+  Alcotest.(check (option (list int))) "route kept" (Some [ 0; 1 ]) (P.route q 0 2);
+  Alcotest.(check (float 0.0)) "nominal untouched" 100.0 (P.speed p 0);
+  Alcotest.check_raises "moved router"
+    (Invalid_argument "Platform.with_capacities: cluster 1 moved router")
+    (fun () ->
+      let moved = Array.copy clusters in
+      moved.(1) <- { (moved.(1)) with P.router = 0 };
+      ignore (P.with_capacities p ~clusters:moved ~backbones));
+  Alcotest.check_raises "cluster count"
+    (Invalid_argument "Platform.with_capacities: cluster count changed")
+    (fun () ->
+      ignore (P.with_capacities p ~clusters:(Array.sub clusters 0 2) ~backbones));
+  Alcotest.check_raises "backbone count"
+    (Invalid_argument "Platform.make: one backbone descriptor per topology edge required")
+    (fun () -> ignore (P.with_capacities p ~clusters ~backbones:[| backbones.(0) |]))
+
+let test_routes_through_repeated_link () =
+  (* An override that crosses l0 out and back lists (0, 1) once. *)
+  let p =
+    let q = line3 () in
+    P.make_with_routes
+      ~clusters:(Array.init 3 (P.cluster q))
+      ~topology:(P.topology q)
+      ~backbones:(Array.init 2 (P.backbone q))
+      ~routes:[ (0, 1, [ 0; 0; 0 ]) ]
+  in
+  Alcotest.(check (list (pair int int))) "l0 pairs in order, once"
+    [ (0, 1); (0, 2); (1, 0); (2, 0) ]
+    (P.routes_through p 0);
+  Alcotest.(check bool) "valid" true (P.validate p = Ok ())
+
+(* ------------------------------------------------------------------ *)
+(* Route layer properties                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* Eq. 3's summation domain by a full K^2 scan of the route table: the
+   reference the link index must reproduce. *)
+let reference_routes_through p link =
+  let kk = P.num_clusters p in
+  let acc = ref [] in
+  for k = kk - 1 downto 0 do
+    for l = kk - 1 downto 0 do
+      if k <> l then
+        match P.route p k l with
+        | Some links when List.mem link links -> acc := (k, l) :: !acc
+        | Some _ | None -> ()
+    done
+  done;
+  !acc
+
+(* Random platforms: up to 8 routers with sparse, possibly parallel
+   links (often disconnected) and up to 9 clusters placed on routers at
+   random (so several may share one).  Returns the shortest-path
+   platform and one whose overrides prefix some routes with a closed
+   walk from the source router, which repeats links. *)
+let random_platforms seed =
+  let rng = Prng.create ~seed in
+  let nr = Prng.int rng ~lo:1 ~hi:8 in
+  let density = Prng.float rng ~lo:0.0 ~hi:0.6 in
+  let edges = ref [] in
+  for u = 0 to nr - 1 do
+    for v = u + 1 to nr - 1 do
+      if Prng.bool rng ~p:density then edges := (u, v) :: !edges;
+      if Prng.bool rng ~p:0.1 then edges := (v, u) :: !edges
+    done
+  done;
+  let topology = G.create ~n:nr ~edges:(List.rev !edges) in
+  let kk = Prng.int rng ~lo:1 ~hi:9 in
+  let clusters =
+    Array.init kk (fun _ ->
+        { P.speed = Prng.float rng ~lo:1.0 ~hi:100.0;
+          local_bw = Prng.float rng ~lo:1.0 ~hi:50.0;
+          router = Prng.int rng ~lo:0 ~hi:(nr - 1) })
+  in
+  let backbones =
+    Array.init (G.num_edges topology) (fun _ ->
+        { P.bw = Prng.float rng ~lo:1.0 ~hi:20.0;
+          max_connect = Prng.int rng ~lo:0 ~hi:5 })
+  in
+  let base = P.make ~clusters ~topology ~backbones in
+  let closed_walk src =
+    let rec go u n acc =
+      match G.neighbors topology u with
+      | [] -> acc
+      | nbrs when n > 0 ->
+        let v, e = Prng.pick rng (Array.of_list nbrs) in
+        go v (n - 1) (e :: acc)
+      | _ -> acc
+    in
+    let out = List.rev (go src (Prng.int rng ~lo:1 ~hi:3) []) in
+    out @ List.rev out
+  in
+  let overrides = ref [] in
+  for k = 0 to kk - 1 do
+    for l = 0 to kk - 1 do
+      match P.route base k l with
+      | Some links when k <> l && Prng.bool rng ~p:0.3 ->
+        overrides := (k, l, closed_walk clusters.(k).P.router @ links) :: !overrides
+      | _ -> ()
+    done
+  done;
+  (base, P.make_with_routes ~clusters ~topology ~backbones ~routes:!overrides)
+
+let routes_through_all p =
+  List.init (P.num_backbones p) (P.routes_through p)
+
+let route_table p =
+  let kk = P.num_clusters p in
+  List.init kk (fun k -> List.init kk (P.route p k))
+
+let prop_routes_through_matches_scan =
+  QCheck2.Test.make ~name:"link index equals a K^2 route scan" ~count:300
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let base, over = random_platforms seed in
+      List.for_all
+        (fun p ->
+          P.validate p = Ok ()
+          && routes_through_all p
+             = List.init (P.num_backbones p) (reference_routes_through p))
+        [ base; over ])
+
+let prop_per_source_routes_match_per_pair =
+  QCheck2.Test.make ~name:"per-source routes equal per-pair shortest paths"
+    ~count:300
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let p, _ = random_platforms seed in
+      let kk = P.num_clusters p in
+      let router k = (P.cluster p k).P.router in
+      List.for_all
+        (fun k ->
+          List.for_all
+            (fun l ->
+              let expected =
+                if k = l then Some []
+                else
+                  Option.map snd
+                    (G.shortest_path (P.topology p) ~src:(router k) ~dst:(router l))
+              in
+              P.route p k l = expected)
+            (List.init kk Fun.id))
+        (List.init kk Fun.id))
+
+let prop_with_capacities_keeps_routes =
+  QCheck2.Test.make ~name:"capacity-only rebuild keeps routes and index"
+    ~count:200
+    QCheck2.Gen.(int_range 0 1_000_000)
+    (fun seed ->
+      let _, p = random_platforms seed in
+      let rng = Prng.create ~seed:(seed + 1) in
+      let clusters =
+        Array.init (P.num_clusters p) (fun k ->
+            { (P.cluster p k) with P.speed = Prng.float rng ~lo:0.0 ~hi:10.0 })
+      in
+      let backbones =
+        Array.init (P.num_backbones p) (fun i ->
+            { (P.backbone p i) with P.max_connect = Prng.int rng ~lo:0 ~hi:3 })
+      in
+      let q = P.with_capacities p ~clusters ~backbones in
+      let capacities_swapped =
+        List.for_all (fun k -> P.cluster q k = clusters.(k))
+          (List.init (P.num_clusters q) Fun.id)
+        && List.for_all (fun i -> P.backbone q i = backbones.(i))
+             (List.init (P.num_backbones q) Fun.id)
+      in
+      let moved_rejected =
+        P.num_routers p < 2
+        ||
+        let moved = Array.copy clusters in
+        let c = moved.(0) in
+        moved.(0) <- { c with P.router = (c.P.router + 1) mod P.num_routers p };
+        match P.with_capacities p ~clusters:moved ~backbones with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      P.validate q = Ok ()
+      && route_table q = route_table p
+      && routes_through_all q = routes_through_all p
+      && capacities_swapped && moved_rejected)
+
 (* ------------------------------------------------------------------ *)
 (* Generator                                                           *)
 (* ------------------------------------------------------------------ *)
@@ -509,7 +701,13 @@ let () =
           Alcotest.test_case "same-router clusters" `Quick test_same_router_clusters;
           Alcotest.test_case "disconnected" `Quick test_disconnected_platform;
           Alcotest.test_case "route overrides" `Quick test_route_overrides;
-          Alcotest.test_case "validation" `Quick test_make_validation ] );
+          Alcotest.test_case "validation" `Quick test_make_validation;
+          Alcotest.test_case "capacity-only rebuild" `Quick test_with_capacities;
+          Alcotest.test_case "repeated link listed once" `Quick
+            test_routes_through_repeated_link ] );
+      qsuite "route-prop"
+        [ prop_routes_through_matches_scan; prop_per_source_routes_match_per_pair;
+          prop_with_capacities_keeps_routes ];
       ( "generator",
         [ Alcotest.test_case "deterministic" `Quick test_generator_deterministic;
           Alcotest.test_case "table1 grid size" `Quick test_table1_grid_size ] );
