@@ -97,20 +97,16 @@ let lprr_warm_vs_cold ?(seed = 42) ?(ks = [ 15; 20; 25 ]) ?(per_k = 2) () =
   Format.printf "@."
 
 (* ------------------------------------------------------------------ *)
-(* Part 1b': LP backend scaling (dense eta-file vs sparse Markowitz)   *)
+(* Part 1b': LP core scaling                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* One MAXMIN relaxation per K through both revised-simplex cores.
+(* One MAXMIN relaxation per K through the eta-file revised simplex.
    Connectivity shrinks as 20/K past K = 50 so the backbone count (and
-   with it the LP) grows roughly linearly instead of quadratically —
-   the regime the sparse core is built for.  The dense core sits out
-   the largest sizes (its basis is a dense m x m matrix). *)
-let lp_scale_series ?(seed = 91) ?(ks = [ 25; 100; 200; 400 ])
-    ?(dense_max_k = 100) () =
+   with it the LP) grows roughly linearly instead of quadratically. *)
+let lp_scale_series ?(seed = 91) ?(ks = [ 25; 100; 200; 400 ]) () =
   Format.printf
-    "=== LP backend scaling (MAXMIN relaxation, one platform per K) ===@.@.";
-  Format.printf "%-5s %-10s %-10s %-8s %-10s %-10s@." "K" "dense-s" "sparse-s"
-    "speedup" "dense-piv" "sparse-piv";
+    "=== LP core scaling (MAXMIN relaxation, one platform per K) ===@.@.";
+  Format.printf "%-5s %-10s %-10s %-10s@." "K" "time-s" "pivots" "ms/pivot";
   List.iter
     (fun k ->
       let rng = Prng.create ~seed:(seed + k) in
@@ -122,37 +118,17 @@ let lp_scale_series ?(seed = 91) ?(ks = [ 25; 100; 200; 400 ])
       let platform = Dls_platform.Generator.generate rng params in
       let payoffs = Array.make k 1.0 in
       let problem = Problem.make platform ~payoffs in
-      let solve backend =
+      let outcome, t =
         E.Measure.time (fun () ->
-            Lp_relax.solve ~backend ~objective:Lp_relax.Maxmin problem)
+            Lp_relax.solve ~objective:Lp_relax.Maxmin problem)
       in
-      let sparse, ts = solve Dls_lp.Backend.Sparse in
-      let spiv =
-        match sparse with
-        | Lp_relax.Solution s -> string_of_int s.Lp_relax.iterations
-        | Lp_relax.Failed _ -> "fail"
-      in
-      if k <= dense_max_k then begin
-        let dense, td = solve Dls_lp.Backend.Dense in
-        let dpiv =
-          match dense with
-          | Lp_relax.Solution s -> string_of_int s.Lp_relax.iterations
-          | Lp_relax.Failed _ -> "fail"
-        in
-        (match (dense, sparse) with
-         | Lp_relax.Solution d, Lp_relax.Solution s
-           when Float.abs (d.Lp_relax.objective_value -. s.Lp_relax.objective_value)
-                > 1e-6 *. Float.max 1.0 (Float.abs d.Lp_relax.objective_value)
-           ->
-           Format.printf "  !! backends disagree at K=%d: %.9g vs %.9g@." k
-             d.Lp_relax.objective_value s.Lp_relax.objective_value
-         | _ -> ());
-        Format.printf "%-5d %-10.3f %-10.3f %-8.2f %-10s %-10s@." k td ts
-          (td /. Float.max 1e-12 ts) dpiv spiv
-      end
-      else
-        Format.printf "%-5d %-10s %-10.3f %-8s %-10s %-10s@." k "-" ts "-" "-"
-          spiv)
+      match outcome with
+      | Lp_relax.Solution s ->
+        let pivots = s.Lp_relax.iterations in
+        Format.printf "%-5d %-10.3f %-10d %-10.3f@." k t pivots
+          (1000.0 *. t /. float_of_int (max 1 pivots))
+      | Lp_relax.Failed msg ->
+        Format.printf "%-5d %-10.3f fail (%s)@." k t msg)
     ks;
   Format.printf "@."
 
@@ -519,21 +495,16 @@ let fig7_tests =
         (Staged.stage (fun () -> ignore (Lpr.solve ~objective:Lp_relax.Maxmin p30))) ]
 
 let engine_tests =
-  (* Ablation: dense tableau vs sparse revised simplex on the same
-     relaxation (DESIGN.md's solver substitution). *)
-  let p25 = problem_of ~seed:107 ~k:25 in
+  (* The relaxation at two sizes through the one LP core (the eta-file
+     revised simplex behind Lp_relax.solve). *)
+  let p15 = problem_of ~seed:107 ~k:15 and p25 = problem_of ~seed:107 ~k:25 in
   Test.make_grouped ~name:"lp-engine"
-    [ Test.make ~name:"sparse-k25"
+    [ Test.make ~name:"relax-k15"
         (Staged.stage (fun () ->
-             ignore (Lp_relax.solve ~engine:`Sparse ~objective:Lp_relax.Maxmin p25)));
-      Test.make ~name:"sparse-lu-k25"
+             ignore (Lp_relax.solve ~objective:Lp_relax.Maxmin p15)));
+      Test.make ~name:"relax-k25"
         (Staged.stage (fun () ->
-             ignore
-               (Lp_relax.solve ~engine:`Sparse ~backend:Dls_lp.Backend.Sparse
-                  ~objective:Lp_relax.Maxmin p25)));
-      Test.make ~name:"dense-k25"
-        (Staged.stage (fun () ->
-             ignore (Lp_relax.solve ~engine:`Dense ~objective:Lp_relax.Maxmin p25))) ]
+             ignore (Lp_relax.solve ~objective:Lp_relax.Maxmin p25))) ]
 
 let extension_tests =
   (* Kernels of the beyond-the-paper extensions. *)
@@ -668,7 +639,34 @@ let flag_value name =
     Sys.argv;
   !r
 
+(* Every accepted argument, checked before anything runs: a mistyped
+   flag must not fall through to the full multi-minute suite. *)
+let mode_flags =
+  [ "--quick"; "--warm"; "--lp-scale"; "--campaign"; "--resilience";
+    "--dynsim"; "--daemon-load"; "--daemon"; "--debug" ]
+
+let value_flags =
+  [ "--trace"; "--metrics"; "--log"; "--log-level"; "--flight";
+    "--telemetry"; "--publish"; "--load-k"; "--load-clients"; "--load-secs" ]
+
+let check_args () =
+  let usage msg =
+    Format.eprintf "bench: %s@.usage: main.exe [%s] [%s VALUE]...@." msg
+      (String.concat " | " mode_flags)
+      (String.concat " | " value_flags);
+    exit 2
+  in
+  let rec go = function
+    | [] -> ()
+    | a :: rest when List.mem a mode_flags -> go rest
+    | a :: _ :: rest when List.mem a value_flags -> go rest
+    | a :: [] when List.mem a value_flags -> usage (a ^ " needs a value")
+    | a :: _ -> usage ("unknown argument " ^ a)
+  in
+  go (List.tl (Array.to_list Sys.argv))
+
 let () =
+  check_args ();
   (* --debug surfaces the solver's per-solve instrumentation lines
      (warm/cold tag, pivots, reinversions, wall-clock). *)
   if Array.exists (String.equal "--debug") Sys.argv then begin
@@ -703,7 +701,7 @@ let () =
     (* Just the warm-vs-cold LPRR acceptance series. *)
     lprr_warm_vs_cold ()
   else if Array.exists (String.equal "--lp-scale") Sys.argv then
-    (* Just the dense-vs-sparse LP backend scaling series. *)
+    (* Just the LP core scaling series. *)
     lp_scale_series ()
   else if Array.exists (String.equal "--campaign") Sys.argv then
     (* Just the campaign-runner scaling series. *)

@@ -118,18 +118,6 @@ let with_obs o f =
   at_exit Dls_obs.Obs.finalize;
   f ()
 
-let lp_backend_arg =
-  let doc =
-    "Revised-simplex core for every LP solve in the run: $(b,dense) (the \
-     PR-1 eta-file solver) or $(b,sparse) (the Markowitz-LU core with \
-     presolve and partial pricing; same optima, built for large K)."
-  in
-  Arg.(value
-       & opt
-           (enum [ ("dense", Dls_lp.Backend.Dense); ("sparse", Dls_lp.Backend.Sparse) ])
-           (Dls_lp.Backend.default ())
-       & info [ "lp-backend" ] ~docv:"CORE" ~doc)
-
 let seed_arg default =
   let doc = "PRNG seed; equal seeds reproduce runs exactly." in
   Arg.(value & opt int default & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -151,69 +139,63 @@ let emit ?out table =
   | None -> ()
 
 let table1_cmd =
-  let run lp_backend out =
+  let run out =
     setup_logs ();
-    Dls_lp.Backend.set_default lp_backend;
     emit ?out (E.Table1.grid_table ());
     emit (E.Table1.stats_table (E.Table1.sample_stats ()))
   in
   Cmd.v
     (Cmd.info "table1" ~doc:"Print the Table 1 parameter grid and platform statistics.")
-    Term.(const run $ lp_backend_arg $ out_arg)
+    Term.(const run $ out_arg)
 
 let fig5_cmd =
-  let run lp_backend seed ks per_k out =
+  let run seed ks per_k out =
     setup_logs ();
-    Dls_lp.Backend.set_default lp_backend;
     emit ?out (E.Fig5.table (E.Fig5.run ~seed ~ks ~per_k ()))
   in
   Cmd.v
     (Cmd.info "fig5"
        ~doc:"LPRG and G vs the LP upper bound, by K (Figure 5).")
-    Term.(const run $ lp_backend_arg $ seed_arg 1 $ ks_arg [ 5; 15; 25; 35; 45; 55 ] $ per_k_arg 4
+    Term.(const run $ seed_arg 1 $ ks_arg [ 5; 15; 25; 35; 45; 55 ] $ per_k_arg 4
           $ out_arg)
 
 let fig6_cmd =
-  let run lp_backend seed ks per_k out =
+  let run seed ks per_k out =
     setup_logs ();
-    Dls_lp.Backend.set_default lp_backend;
     emit ?out (E.Fig6.table (E.Fig6.run ~seed ~ks ~per_k ()))
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"LPRR vs G on small topologies (Figure 6).")
-    Term.(const run $ lp_backend_arg $ seed_arg 2 $ ks_arg [ 15; 20; 25 ] $ per_k_arg 4 $ out_arg)
+    Term.(const run $ seed_arg 2 $ ks_arg [ 15; 20; 25 ] $ per_k_arg 4 $ out_arg)
 
 let fig7_cmd =
   let lprr_max_k_arg =
     let doc = "Measure LPRR only for K up to $(docv) (it costs K^2 LP solves)." in
     Arg.(value & opt int 20 & info [ "lprr-max-k" ] ~docv:"K" ~doc)
   in
-  let run lp_backend seed ks per_k lprr_max_k out =
+  let run seed ks per_k lprr_max_k out =
     setup_logs ();
-    Dls_lp.Backend.set_default lp_backend;
     emit ?out (E.Fig7.table (E.Fig7.run ~seed ~ks ~per_k ~lprr_max_k ()))
   in
   Cmd.v
     (Cmd.info "fig7" ~doc:"Running times of the heuristics, by K (Figure 7).")
-    Term.(const run $ lp_backend_arg $ seed_arg 3 $ ks_arg [ 10; 20; 30; 40 ] $ per_k_arg 3
+    Term.(const run $ seed_arg 3 $ ks_arg [ 10; 20; 30; 40 ] $ per_k_arg 3
           $ lprr_max_k_arg $ out_arg)
 
 let aggregate_cmd =
-  let run lp_backend seed ks per_k out =
+  let run seed ks per_k out =
     setup_logs ();
-    Dls_lp.Backend.set_default lp_backend;
     emit ?out (E.Aggregate.table (E.Aggregate.run ~seed ~ks ~per_k ()))
   in
   Cmd.v
     (Cmd.info "aggregate"
        ~doc:"Whole-sweep aggregates of Section 6.1 (LPRG/G ratios, LPR poorness).")
-    Term.(const run $ lp_backend_arg $ seed_arg 4 $ ks_arg [ 5; 15; 25; 35; 45 ] $ per_k_arg 4
+    Term.(const run $ seed_arg 4 $ ks_arg [ 5; 15; 25; 35; 45 ] $ per_k_arg 4
           $ out_arg)
 
 let ablation_cmd =
-  let run lp_backend seed out =
+  let run seed out =
     setup_logs ();
-    Dls_lp.Backend.set_default lp_backend;
     emit ?out (E.Ablation.rounding_table (E.Ablation.rounding_policy ~seed ()));
     emit (E.Ablation.tight_table (E.Ablation.network_tight ~seed:(seed + 1) ()));
     emit (E.Ablation.workload_table (E.Ablation.workload ~seed:(seed + 2) ()));
@@ -225,7 +207,7 @@ let ablation_cmd =
        ~doc:
          "Ablations: LPRR rounding policy, network-tight regime, workload \
           sensitivity.")
-    Term.(const run $ lp_backend_arg $ seed_arg 6 $ out_arg)
+    Term.(const run $ seed_arg 6 $ out_arg)
 
 let sweep_cmd =
   let count_arg =
@@ -236,9 +218,8 @@ let sweep_cmd =
     Arg.(value & flag
          & info [ "with-lprr" ] ~doc:"Also run LPRR on every platform (K^2 LP solves).")
   in
-  let run lp_backend seed ks per_k with_lprr out =
+  let run seed ks per_k with_lprr out =
     setup_logs ();
-    Dls_lp.Backend.set_default lp_backend;
     let oc = match out with Some path -> Some (open_out path) | None -> None in
     let emit_line line =
       match oc with
@@ -262,7 +243,7 @@ let sweep_cmd =
        ~doc:
          "Stream a sampled Table 1 campaign as CSV (one row per platform: \
           grid point, LP bounds, heuristic values, timings).")
-    Term.(const run $ lp_backend_arg $ seed_arg 12 $ ks_arg [ 5; 15; 25; 35; 45; 55 ] $ count_arg
+    Term.(const run $ seed_arg 12 $ ks_arg [ 5; 15; 25; 35; 45; 55 ] $ count_arg
           $ with_lprr_arg $ out_arg)
 
 let campaign_cmd =
@@ -324,11 +305,10 @@ let campaign_cmd =
     Arg.(value & flag
          & info [ "quiet" ] ~doc:"Suppress progress lines (warnings only).")
   in
-  let run lp_backend seed ks per_k with_lprr lprr_max_k no_timings shards shard resume
+  let run seed ks per_k with_lprr lprr_max_k no_timings shards shard resume
       out_jsonl checkpoint_every domains chunk quiet obs =
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.set_level (Some (if quiet then Logs.Warning else Logs.Info));
-    Dls_lp.Backend.set_default lp_backend;
     let config =
       { E.Campaign.seed; ks; per_k; with_lprr; lprr_max_k;
         measure_time = not no_timings }
@@ -352,7 +332,7 @@ let campaign_cmd =
          "Run a paper-scale evaluation campaign: per-index PRNG streams, \
           sharding, an append-only JSONL record log with a checkpoint \
           manifest, and crash-safe --resume.")
-    Term.(const run $ lp_backend_arg $ seed_arg 12 $ ks_arg [ 5; 15; 25; 35; 45; 55 ]
+    Term.(const run $ seed_arg 12 $ ks_arg [ 5; 15; 25; 35; 45; 55 ]
           $ per_k_arg 5 $ with_lprr_arg $ lprr_max_k_arg $ no_timings_arg
           $ shards_arg $ shard_arg $ resume_arg $ out_jsonl_arg
           $ checkpoint_every_arg $ domains_arg $ chunk_arg $ quiet_arg
@@ -402,10 +382,9 @@ let resilience_cmd =
              ~doc:"Record repair wall-clock as 0, making the log \
                    byte-reproducible.")
   in
-  let run lp_backend seed k rates per_rate periods kill no_timings resume out_jsonl domains
+  let run seed k rates per_rate periods kill no_timings resume out_jsonl domains
       out obs =
     setup_logs ();
-    Dls_lp.Backend.set_default lp_backend;
     let config =
       { E.Resilience.seed; k; rates; per_rate; periods;
         policy = (if kill then Dls_flowsim.Faults.Kill else Dls_flowsim.Faults.Stall);
@@ -439,7 +418,7 @@ let resilience_cmd =
           seed-derived platform faults, repair it against the degraded \
           platform, and report throughput retained (inherits the campaign \
           runner's checkpoint/resume).")
-    Term.(const run $ lp_backend_arg $ seed_arg 21 $ k_arg $ rates_arg $ per_rate_arg
+    Term.(const run $ seed_arg 21 $ k_arg $ rates_arg $ per_rate_arg
           $ periods_arg $ kill_arg $ no_timings_arg $ resume_arg $ out_jsonl_arg
           $ domains_arg $ out_arg $ obs_term)
 
@@ -513,10 +492,9 @@ let dynamic_cmd =
              ~doc:"Record re-plan wall-clock as 0, making the log \
                    byte-reproducible.")
   in
-  let run lp_backend seed k platforms jobs rate heavy swf work_scale fault_rate
+  let run seed k platforms jobs rate heavy swf work_scale fault_rate
       policy_names no_timings resume out_jsonl domains events out obs =
     setup_logs ();
-    Dls_lp.Backend.set_default lp_backend;
     let policies =
       List.map
         (fun name ->
@@ -571,16 +549,15 @@ let dynamic_cmd =
           and fault via the repair ladder, and compare admission policies \
           (LP-repair vs FCFS vs EASY backfilling) on the same traces \
           (inherits the campaign runner's checkpoint/resume).")
-    Term.(const run $ lp_backend_arg $ seed_arg 33 $ k_arg $ platforms_arg $ jobs_arg $ rate_arg
+    Term.(const run $ seed_arg 33 $ k_arg $ platforms_arg $ jobs_arg $ rate_arg
           $ heavy_arg $ swf_arg $ work_scale_arg $ fault_rate_arg
           $ policies_arg $ no_timings_arg
           $ resume_arg $ out_jsonl_arg $ domains_arg $ events_arg $ out_arg
           $ obs_term)
 
 let adaptivity_cmd =
-  let run lp_backend seed out =
+  let run seed out =
     setup_logs ();
-    Dls_lp.Backend.set_default lp_backend;
     match E.Adaptivity.run ~seed () with
     | Ok trace -> emit ?out (E.Adaptivity.table trace)
     | Error msg ->
@@ -592,12 +569,11 @@ let adaptivity_cmd =
        ~doc:
          "Static plan vs per-period re-optimization under bandwidth variation \
           (the paper's motivation (iii)).")
-    Term.(const run $ lp_backend_arg $ seed_arg 9 $ out_arg)
+    Term.(const run $ seed_arg 9 $ out_arg)
 
 let all_cmd =
-  let run lp_backend seed =
+  let run seed =
     setup_logs ();
-    Dls_lp.Backend.set_default lp_backend;
     emit (E.Table1.grid_table ());
     emit (E.Table1.stats_table (E.Table1.sample_stats ~seed ()));
     emit (E.Fig5.table (E.Fig5.run ~seed ()));
@@ -613,7 +589,7 @@ let all_cmd =
   in
   Cmd.v
     (Cmd.info "all" ~doc:"Run every experiment with default sizes.")
-    Term.(const run $ lp_backend_arg $ seed_arg 1)
+    Term.(const run $ seed_arg 1)
 
 let () =
   let info =

@@ -14,11 +14,11 @@ let of_name s =
 
 let default_seed = 0x5EED
 
-let run ?objective ?backend ?rng spec problem =
+let run ?objective ?rng spec problem =
   match spec with
   | G -> Ok (Greedy.solve problem)
-  | LPR -> Lpr.solve ?objective ?backend problem
-  | LPRG -> Lprg.solve ?objective ?backend problem
+  | LPR -> Lpr.solve ?objective problem
+  | LPRG -> Lprg.solve ?objective problem
   | LPRR ->
     let rng =
       match rng with
@@ -27,9 +27,9 @@ let run ?objective ?backend ?rng spec problem =
     in
     Result.map
       (fun stats -> stats.Lprr.allocation)
-      (Lprr.solve ?objective ?backend ~rng problem)
+      (Lprr.solve ?objective ~rng problem)
 
-let lp_bound ?objective ?backend problem =
-  match Lp_relax.solve ?objective ?backend problem with
+let lp_bound ?objective problem =
+  match Lp_relax.solve ?objective problem with
   | Lp_relax.Solution sol -> Ok sol.Lp_relax.objective_value
   | Lp_relax.Failed msg -> Error msg

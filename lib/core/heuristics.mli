@@ -18,7 +18,6 @@ val of_name : string -> t option
 
 val run :
   ?objective:Lp_relax.objective ->
-  ?backend:Dls_lp.Backend.t ->
   ?rng:Dls_util.Prng.t ->
   t ->
   Problem.t ->
@@ -30,7 +29,6 @@ val run :
 
 val lp_bound :
   ?objective:Lp_relax.objective ->
-  ?backend:Dls_lp.Backend.t ->
   Problem.t ->
   (float, string) result
 (** The rational-relaxation optimum — the upper bound every figure of

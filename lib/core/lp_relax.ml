@@ -33,7 +33,7 @@ module Encode (F : Dls_lp.Field.S) = struct
   (* Variable layout: one alpha variable per admissible (k, l) pair —
      always (k, k) for active k; (k, l) when a route exists — plus, for
      MAXMIN, one auxiliary variable t with rows t <= pi_k * alpha_k.
-     [solver] lets the float instance route the model to the sparse
+     [solver] lets the float instance route the model to the packed-form
      revised simplex. *)
   let solve ?solver ?(objective = Maxmin) ?(fixed = []) ?max_iterations problem =
     let solve_model = match solver with Some f -> f | None -> M.solve in
@@ -239,7 +239,7 @@ module Incremental = struct
     pinned : (int * int, int) Hashtbl.t;
   }
 
-  let create ?(objective = Maxmin) ?backend problem =
+  let create ?(objective = Maxmin) problem =
     let p = Problem.platform problem in
     let kk = P.num_clusters p in
     let active = Problem.active problem in
@@ -369,7 +369,7 @@ module Incremental = struct
              M.add_le m row 0.0)
            active;
          M.set_objective m [ (t, 1.0) ]);
-      { kk; inc = Some (M.incremental ?backend m); vars; bottleneck; pairs;
+      { kk; inc = Some (M.incremental m); vars; bottleneck; pairs;
         link_row; compute_row; local_row; cap_now; pin_charge; pinned }
     end
 
@@ -510,16 +510,9 @@ module Incremental = struct
         reinversions = 0; bland_activations = 0; wall_clock = 0.0 }
 end
 
-let solve ?(engine = `Sparse) ?backend ?objective ?fixed ?max_iterations
-    problem =
-  let solver =
-    match engine with
-    | `Sparse ->
-      fun ?max_iterations m ->
-        Dls_lp.Model.Float.solve_auto ?backend ?max_iterations m
-    | `Dense -> fun ?max_iterations m -> Dls_lp.Model.Float.solve ?max_iterations m
-  in
-  Float_encoder.solve ~solver ?objective ?fixed ?max_iterations problem
+let solve ?objective ?fixed ?max_iterations problem =
+  Float_encoder.solve ~solver:Dls_lp.Model.Float.solve_auto ?objective ?fixed
+    ?max_iterations problem
 
 let solve_exact ?objective ?fixed ?max_iterations problem =
   Exact_encoder.solve ?objective ?fixed ?max_iterations problem

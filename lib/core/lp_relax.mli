@@ -32,22 +32,14 @@ type 'num outcome =
   | Failed of string  (** infeasible pinning or pivot-budget exhaustion *)
 
 val solve :
-  ?engine:[ `Sparse | `Dense ] ->
-  ?backend:Dls_lp.Backend.t ->
   ?objective:objective ->
   ?fixed:((int * int) * int) list ->
   ?max_iterations:int ->
   Problem.t ->
   float outcome
 (** Float path (default objective [Maxmin], like the paper's headline
-    fairness criterion).  [engine] selects the LP kernel family: the
-    revised simplex on the packed form (default) or the dense tableau —
-    both give the same optimum; the option exists for cross-checking
-    and benchmarks.  Under [`Sparse], [backend] further picks the
-    revised-simplex core ([Dls_lp.Backend.Dense] eta-file solver vs the
-    [Sparse] Markowitz-LU core), defaulting to the process-wide
-    [Dls_lp.Backend.default] — which the CLI exposes as
-    [--lp-backend]. *)
+    fairness criterion), solved by the eta-file revised simplex on the
+    packed form ({!Dls_lp.Model.Float.solve_auto}). *)
 
 val solve_exact :
   ?objective:objective ->
@@ -67,7 +59,7 @@ val remote_pairs : Problem.t -> (int * int) list
 (** Warm-started float path for iterated pinning (LPRR's inner loop).
 
     The relaxation is encoded once; {!Incremental.pin} then updates the
-    sparse solver state in place — it tightens the pair's bound row to
+    revised-simplex state in place — it tightens the pair's bound row to
     [v * g_{k,l}], deletes the pair's [1/g] slot charge from every
     backbone row of its route and lowers those right-hand sides by [v]
     — and {!Incremental.solve} re-optimizes from the previous optimal
@@ -81,10 +73,8 @@ module Incremental : sig
   type handle
 
   val create :
-    ?objective:objective -> ?backend:Dls_lp.Backend.t -> Problem.t -> handle
-  (** Encode the relaxation (default [Maxmin]) with no pair pinned.
-      [backend] selects the revised-simplex core carrying the
-      warm-started state (default [Dls_lp.Backend.default]). *)
+    ?objective:objective -> Problem.t -> handle
+  (** Encode the relaxation (default [Maxmin]) with no pair pinned. *)
 
   val pin : handle -> int * int -> int -> (unit, string) result
   (** [pin h (k, l) v] fixes the pair's connection count to [v].

@@ -27,7 +27,7 @@ let round_down problem (sol : float Lp_relax.solution) =
   done;
   alloc
 
-let solve ?objective ?backend problem =
-  match Lp_relax.solve ?objective ?backend problem with
+let solve ?objective problem =
+  match Lp_relax.solve ?objective problem with
   | Lp_relax.Solution sol -> Ok (round_down problem sol)
   | Lp_relax.Failed msg -> Error msg

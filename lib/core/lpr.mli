@@ -12,7 +12,6 @@ val round_down : Problem.t -> float Lp_relax.solution -> Allocation.t
 
 val solve :
   ?objective:Lp_relax.objective ->
-  ?backend:Dls_lp.Backend.t ->
   Problem.t ->
   (Allocation.t, string) result
 (** Solve the relaxation, then {!round_down}. *)

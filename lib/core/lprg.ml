@@ -1,6 +1,6 @@
-let solve ?objective ?backend problem =
+let solve ?objective problem =
   Dls_obs.Trace.with_span ~cat:"heuristic" "lprg.solve" @@ fun () ->
-  match Lp_relax.solve ?objective ?backend problem with
+  match Lp_relax.solve ?objective problem with
   | Lp_relax.Failed msg -> Error msg
   | Lp_relax.Solution sol ->
     let rounded = Lpr.round_down problem sol in

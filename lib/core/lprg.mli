@@ -8,6 +8,5 @@
 
 val solve :
   ?objective:Lp_relax.objective ->
-  ?backend:Dls_lp.Backend.t ->
   Problem.t ->
   (Allocation.t, string) result

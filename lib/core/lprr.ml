@@ -165,7 +165,7 @@ let finish problem (sol, lp_solves, upward, trace, objectives) ~counters =
   { allocation = alloc; lp_solves; upward_rounds = upward; pin_trace = trace;
     lp_objectives = objectives; counters }
 
-let run ~equal_probability ~warm ?objective ?backend ~rng problem =
+let run ~equal_probability ~warm ?objective ~rng problem =
   let sp = Trace.start ~cat:"heuristic" "lprr.solve" in
   Fun.protect ~finally:(fun () ->
       if Trace.live sp then
@@ -177,7 +177,7 @@ let run ~equal_probability ~warm ?objective ?backend ~rng problem =
     (* Warm path: encode once, thread the incremental handle through
        the pinning loop; each re-solve starts from the previous optimal
        basis. *)
-    let handle = Lp_relax.Incremental.create ?objective ?backend problem in
+    let handle = Lp_relax.Incremental.create ?objective problem in
     let outcome =
       rounding_loop ~equal_probability ~rng ~pairs ~slots
         ~solve_pinned:(fun () -> Lp_relax.Incremental.solve handle)
@@ -196,7 +196,7 @@ let run ~equal_probability ~warm ?objective ?backend ~rng problem =
     let outcome =
       rounding_loop ~equal_probability ~rng ~pairs ~slots
         ~solve_pinned:(fun () ->
-          Lp_relax.solve ?objective ?backend ~fixed:!pins problem)
+          Lp_relax.solve ?objective ~fixed:!pins problem)
         ~record_pin:(fun pair v ->
           pins := (pair, v) :: !pins;
           Ok ())
@@ -204,8 +204,8 @@ let run ~equal_probability ~warm ?objective ?backend ~rng problem =
     Result.map (fun r -> finish problem r ~counters:None) outcome
   end
 
-let solve ?(warm = true) ?objective ?backend ~rng problem =
-  run ~equal_probability:false ~warm ?objective ?backend ~rng problem
+let solve ?(warm = true) ?objective ~rng problem =
+  run ~equal_probability:false ~warm ?objective ~rng problem
 
-let solve_equal_probability ?(warm = true) ?objective ?backend ~rng problem =
-  run ~equal_probability:true ~warm ?objective ?backend ~rng problem
+let solve_equal_probability ?(warm = true) ?objective ~rng problem =
+  run ~equal_probability:true ~warm ?objective ~rng problem

@@ -45,7 +45,6 @@ type stats = {
 val solve :
   ?warm:bool ->
   ?objective:Lp_relax.objective ->
-  ?backend:Dls_lp.Backend.t ->
   rng:Dls_util.Prng.t ->
   Problem.t ->
   (stats, string) result
@@ -53,7 +52,6 @@ val solve :
 val solve_equal_probability :
   ?warm:bool ->
   ?objective:Lp_relax.objective ->
-  ?backend:Dls_lp.Backend.t ->
   rng:Dls_util.Prng.t ->
   Problem.t ->
   (stats, string) result

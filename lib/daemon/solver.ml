@@ -127,7 +127,6 @@ module Greedy = Dls_core.Greedy
    FIFO edit/solve discipline there makes the handle's history a pure
    function of the mutation log. *)
 type resident = {
-  r_backend : Dls_lp.Backend.t option;
   mutable r_handles : (Lp_relax.objective * Lp_relax.Incremental.handle) list;
   mutable r_warm_hits : int;
   mutable r_rebuilds : int;
@@ -137,9 +136,8 @@ type resident = {
 let m_warm_hits = M.counter "daemon.warm_hits"
 let m_rebuilds = M.counter "daemon.rebuilds"
 
-let resident ?backend () =
-  { r_backend = backend; r_handles = []; r_warm_hits = 0; r_rebuilds = 0;
-    r_edits = 0 }
+let resident () =
+  { r_handles = []; r_warm_hits = 0; r_rebuilds = 0; r_edits = 0 }
 
 let resident_invalidate r = r.r_handles <- []
 
@@ -183,9 +181,7 @@ let warm_resolve r ~objective problem =
       M.incr m_warm_hits;
       h
     | None ->
-      let h =
-        Lp_relax.Incremental.create ~objective ?backend:r.r_backend problem
-      in
+      let h = Lp_relax.Incremental.create ~objective problem in
       r.r_handles <- (objective, h) :: r.r_handles;
       r.r_rebuilds <- r.r_rebuilds + 1;
       M.incr m_rebuilds;

@@ -105,11 +105,8 @@ val note_lp_success : breaker -> unit
 
 type resident
 
-val resident : ?backend:Dls_lp.Backend.t -> unit -> resident
-(** Fresh resident with no live handle.  [backend] picks the
-    revised-simplex core for future handles (default
-    [Dls_lp.Backend.default], i.e. the sparse Markowitz-LU core unless
-    overridden process-wide). *)
+val resident : unit -> resident
+(** Fresh resident with no live handle. *)
 
 val resident_apply :
   resident -> State.capacity_edit list option -> unit

@@ -32,7 +32,7 @@ let rounding_policy ?(seed = 6) ?(ks = [ 8; 12 ]) ?(per_k = 4) () =
         | Ok bound ->
           let run solve =
             match
-              solve ?warm:None ?objective:(Some Lp_relax.Maxmin) ?backend:None
+              solve ?warm:None ?objective:(Some Lp_relax.Maxmin)
                 ~rng:(Prng.split rng) problem
             with
             | Ok stats ->

@@ -139,7 +139,7 @@ module Float = struct
           rows = rows @ bound_rows }
     end
 
-  let result_of_sparse t (sol : Revised_simplex.solution) =
+  let result_of_packed t (sol : Revised_simplex.solution) =
     let status =
       match sol.Revised_simplex.status with
       | Revised_simplex.Optimal -> Solver.Optimal
@@ -160,69 +160,23 @@ module Float = struct
           (Stdlib.min t.nrows (Array.length sol.Revised_simplex.duals));
       iterations = sol.Revised_simplex.iterations }
 
-  (* The packed constraint matrix in compressed sparse column form,
-     bound rows included — the representation the sparse backend
-     consumes directly. *)
-  let packed_csc t =
-    match packed_form t with
-    | None -> None
-    | Some p ->
-      let rows = Array.of_list p.Revised_simplex.rows in
-      let adj =
-        Array.map (fun (c : Revised_simplex.constr) -> c.coeffs) rows
-      in
-      let mat =
-        Csc.of_rows ~nrows:(Array.length rows) ~ncols:p.Revised_simplex.num_vars
-          adj
-      in
-      Some
-        ( mat,
-          p.Revised_simplex.maximize,
-          Array.map (fun (c : Revised_simplex.constr) -> c.rhs) rows )
-
-  let solve_auto ?backend ?max_iterations t =
+  let solve_auto ?max_iterations t =
     match packed_form t with
     | None -> solve ?max_iterations t
     | Some problem ->
-      let backend =
-        match backend with Some b -> b | None -> Backend.default ()
-      in
-      let sol =
-        match backend with
-        | Backend.Dense -> Revised_simplex.solve ?max_iterations problem
-        | Backend.Sparse -> Sparse_simplex.solve ?max_iterations problem
-      in
-      result_of_sparse t sol
+      result_of_packed t (Revised_simplex.solve ?max_iterations problem)
 
   (* Incremental-solve handle: the model is snapshotted once into a
-     solver state of the selected backend; subsequent row edits go
-     through the state (the builder is not kept in sync) and re-solves
-     warm-start from the previous optimal basis. *)
-  type inc_state =
-    | Inc_dense of Revised_simplex.state
-    | Inc_sparse of Sparse_simplex.state
+     revised-simplex state; subsequent row edits go through the state
+     (the builder is not kept in sync) and re-solves warm-start from the
+     previous optimal basis. *)
+  type incremental = { model : t; state : Revised_simplex.state }
 
-  type incremental = { model : t; state : inc_state }
-
-  let incremental ?backend t =
-    let backend =
-      match backend with Some b -> b | None -> Backend.default ()
-    in
-    match backend with
-    | Backend.Dense -> (
-      match packed_form t with
-      | None ->
-        invalid_arg
-          "Model.Float.incremental: model not in packed inequality form"
-      | Some problem ->
-        { model = t; state = Inc_dense (Revised_simplex.create problem) })
-    | Backend.Sparse -> (
-      match packed_csc t with
-      | None ->
-        invalid_arg
-          "Model.Float.incremental: model not in packed inequality form"
-      | Some (mat, maximize, rhs) ->
-        { model = t; state = Inc_sparse (Sparse_simplex.of_csc mat ~maximize ~rhs) })
+  let incremental t =
+    match packed_form t with
+    | None ->
+      invalid_arg "Model.Float.incremental: model not in packed inequality form"
+    | Some problem -> { model = t; state = Revised_simplex.create problem }
 
   let check_row h row =
     if row < 0 || row >= h.model.nrows then
@@ -230,33 +184,22 @@ module Float = struct
 
   let inc_set_rhs h ~row v =
     check_row h row;
-    match h.state with
-    | Inc_dense st -> Revised_simplex.set_rhs st ~row v
-    | Inc_sparse st -> Sparse_simplex.set_rhs st ~row v
+    Revised_simplex.set_rhs h.state ~row v
 
   let inc_rhs h ~row =
     check_row h row;
-    match h.state with
-    | Inc_dense st -> Revised_simplex.rhs st ~row
-    | Inc_sparse st -> Sparse_simplex.rhs st ~row
+    Revised_simplex.rhs h.state ~row
 
   let inc_zero_coeff h ~row v =
     check_row h row;
     check_var h.model v;
-    match h.state with
-    | Inc_dense st -> Revised_simplex.zero_coeff st ~row ~var:v
-    | Inc_sparse st -> Sparse_simplex.zero_coeff st ~row ~var:v
+    Revised_simplex.zero_coeff h.state ~row ~var:v
 
   let inc_solve ?max_iterations h =
-    result_of_sparse h.model
-      (match h.state with
-      | Inc_dense st -> Revised_simplex.solve_state ?max_iterations st
-      | Inc_sparse st -> Sparse_simplex.solve_state ?max_iterations st)
+    result_of_packed h.model
+      (Revised_simplex.solve_state ?max_iterations h.state)
 
-  let inc_counters h =
-    match h.state with
-    | Inc_dense st -> Revised_simplex.counters st
-    | Inc_sparse st -> Sparse_simplex.counters st
+  let inc_counters h = Revised_simplex.counters h.state
 end
 
 module Exact = Make (Field.Exact)

@@ -61,33 +61,21 @@ end
 module Float : sig
   include module type of struct include Make (Field.Float) end
 
-  val packed_csc :
-    t -> (Csc.t * (int * float) list * float array) option
-  (** The constraint matrix of a packed-inequality model in compressed
-      sparse column form (bound rows appended after the explicit rows),
-      with the objective terms and the right-hand sides — [None] when
-      the model is not packed.  This is the representation the sparse
-      backend consumes without re-deriving it from row lists. *)
-
-  val solve_auto :
-    ?backend:Backend.t -> ?max_iterations:int -> t -> result
+  val solve_auto : ?max_iterations:int -> t -> result
   (** Like {!solve}, but routes programs in packed inequality form (all
       rows [<=] with non-negative right-hand sides — the shape of every
-      DLS relaxation) to a revised-simplex core, falling back to the
-      dense tableau otherwise.  [backend] picks the core
-      ({!Backend.Dense} = {!Revised_simplex}, {!Backend.Sparse} =
-      {!Sparse_simplex}); it defaults to {!Backend.default}.  Identical
-      results up to float tolerance; cross-checked by the property
-      tests and the differential harness. *)
+      DLS relaxation) to {!Revised_simplex}, falling back to the dense
+      tableau otherwise.  Identical results up to float tolerance;
+      cross-checked by the property tests and the differential
+      harness. *)
 
   type incremental
   (** Handle for a sequence of warm-started re-solves of one packed
       model (LPRR's pinning loop).  Created by snapshotting the builder;
       later edits to the builder are {e not} reflected in the handle. *)
 
-  val incremental : ?backend:Backend.t -> t -> incremental
-  (** Snapshot the model into a revised-simplex state of the selected
-      backend (default {!Backend.default}).
+  val incremental : t -> incremental
+  (** Snapshot the model into a {!Revised_simplex} state.
       @raise Invalid_argument unless the model is in packed inequality
       form (all rows [<=], right-hand sides and upper bounds
       non-negative). *)

@@ -430,8 +430,7 @@ let optimize ?max_iterations st =
       else if !iterations >= budget then
         (* Budget checked only after pricing fails to prove optimality:
            a solve that reaches the optimum in exactly [budget] pivots
-           is Optimal, not Iteration_limit (the off-by-one fixed while
-           wiring the sparse backend; pinned in test_lp). *)
+           is Optimal, not Iteration_limit (pinned in test_lp). *)
         result :=
           Some
             (if !bland && objective_value st <= !z_at_bland +. 1e-12 then

@@ -1144,14 +1144,9 @@ let apply_edits h edits =
    (capacity deltas applied as RHS edits via State.warm_edits,
    structural mutations dropping the handle), checked after EVERY
    mutation against a cold re-solve of the current problem.  The
-   relaxation optima must agree to float tolerance on both LP
-   backends. *)
-let prop_warm_equals_cold backend =
-  QCheck2.Test.make
-    ~name:
-      (Printf.sprintf "warm-incremental equals cold re-solve (%s)"
-         (Dls_lp.Backend.to_string backend))
-    ~count:12
+   relaxation optima must agree to float tolerance. *)
+let prop_warm_equals_cold =
+  QCheck2.Test.make ~name:"warm-incremental equals cold re-solve" ~count:24
     QCheck2.Gen.(pair (int_bound 10_000) (int_range 1 12))
     (fun (seed, n) ->
       let pf = platform () in
@@ -1163,7 +1158,7 @@ let prop_warm_equals_cold backend =
           | Some h -> h
           | None ->
             let h =
-              Lp_relax.Incremental.create ~objective:Lp_relax.Maxmin ~backend
+              Lp_relax.Incremental.create ~objective:Lp_relax.Maxmin
                 (D.State.problem st)
             in
             handle := Some h;
@@ -1175,8 +1170,7 @@ let prop_warm_equals_cold backend =
       in
       let solve_cold () =
         match
-          Lp_relax.solve ~objective:Lp_relax.Maxmin ~backend
-            (D.State.problem st)
+          Lp_relax.solve ~objective:Lp_relax.Maxmin (D.State.problem st)
         with
         | Lp_relax.Solution s -> s.Lp_relax.objective_value
         | Lp_relax.Failed m -> Alcotest.failf "cold solve failed: %s" m
@@ -1767,9 +1761,7 @@ let () =
           Alcotest.test_case "gives up at the cap" `Quick
             test_supervisor_gives_up ] );
       ("soak", [ Alcotest.test_case "mixed clients" `Slow test_soak_mixed_clients ]);
-      qsuite "resident-prop"
-        [ prop_warm_equals_cold Dls_lp.Backend.Dense;
-          prop_warm_equals_cold Dls_lp.Backend.Sparse ];
+      qsuite "resident-prop" [ prop_warm_equals_cold ];
       ( "resident",
         [ Alcotest.test_case "warm pivots below cold" `Slow
             test_resident_pivots_warm_lt_cold;

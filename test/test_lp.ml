@@ -447,25 +447,25 @@ let test_revised_rejects_negative_rhs () =
              maximize = [ (0, 1.0) ];
              rows = [ { Rs.coeffs = [ (0, 1.0) ]; rhs = -1.0 } ] }))
 
+let chain_problem n =
+  { Rs.num_vars = n;
+    maximize = List.init n (fun i -> (i, 1.0));
+    rows =
+      List.init n (fun i ->
+          { Rs.coeffs = ((i, 1.0) :: if i > 0 then [ (i - 1, 0.5) ] else []);
+            rhs = 10.0 }) }
+
 let test_revised_many_pivots_refactor () =
   (* More pivots than the refactorization interval: a long chain of
      coupled rows forces enough iterations to cross it at least once. *)
   let n = 180 in
-  let rows =
-    List.init n (fun i ->
-        { Rs.coeffs = ((i, 1.0) :: if i > 0 then [ (i - 1, 0.5) ] else []);
-          rhs = 10.0 })
-  in
-  let sol =
-    Rs.solve
-      { Rs.num_vars = n; maximize = List.init n (fun i -> (i, 1.0)); rows }
-  in
+  let p = chain_problem n in
+  let sol = Rs.solve p in
   Alcotest.(check bool) "optimal" true (sol.Rs.status = Rs.Optimal);
   (* Compare against the dense engine on the identical program. *)
   let dense =
-    solve_f n
-      (List.init n (fun i -> (i, 1.0)))
-      (List.map (fun (r : Rs.constr) -> { Sf.coeffs = r.Rs.coeffs; cmp = Sf.Le; rhs = r.Rs.rhs }) rows)
+    solve_f n p.Rs.maximize
+      (List.map (fun (r : Rs.constr) -> { Sf.coeffs = r.Rs.coeffs; cmp = Sf.Le; rhs = r.Rs.rhs }) p.Rs.rows)
   in
   check_float "matches dense" dense.Sf.objective sol.Rs.objective
 
@@ -492,11 +492,10 @@ let test_revised_pivot_limit () =
     ((Rs.solve p).Rs.status = Rs.Optimal)
 
 let test_revised_budget_boundary () =
-  (* Pinned regression for the budget/optimality off-by-one found while
-     wiring the sparse backend: the budget used to be checked before
-     pricing, so a solve that reached the optimum in exactly [budget]
-     pivots was misreported as Iteration_limit.  Optimality proved at
-     the boundary must win. *)
+  (* Pinned regression for the budget/optimality off-by-one: the budget
+     used to be checked before pricing, so a solve that reached the
+     optimum in exactly [budget] pivots was misreported as
+     Iteration_limit.  Optimality proved at the boundary must win. *)
   let n = 20 in
   let rows =
     List.init n (fun i ->
@@ -764,42 +763,39 @@ let test_model_incremental_handle () =
   Mf.inc_zero_coeff h ~row:2 x;
   let r3 = Mf.inc_solve h in
   check_float "zeroed objective" 27.0 r3.Mf.objective;
-  Alcotest.(check int) "solves counted" 3 (registry_counter "lp.solves")
+  Alcotest.(check int) "solves counted" 3 (registry_counter "lp.solves");
+  Alcotest.(check int) "every solve tagged" 3
+    (registry_counter "lp.warm_starts" + registry_counter "lp.cold_starts");
+  Alcotest.(check int) "state solves" 3 (Mf.inc_counters h).Rs.solves
 
-let test_model_incremental_both_backends () =
-  (* The same incremental script through each revised-simplex core:
-     identical optima, and each core feeds the shared lp.* registry
-     cells (the sparse one additionally counts factorizations). *)
-  List.iter
-    (fun backend ->
-      with_registry @@ fun () ->
-      let m = Mf.create () in
-      let x = Mf.add_var ~name:"x" m in
-      let y = Mf.add_var ~name:"y" m in
-      Mf.add_le m [ (x, 1.0) ] 4.0;
-      Mf.add_le m [ (y, 2.0) ] 12.0;
-      Mf.add_le m [ (x, 3.0); (y, 2.0) ] 18.0;
-      Mf.set_objective m [ (x, 3.0); (y, 5.0) ];
-      let h = Mf.incremental ~backend m in
-      let tag = Dls_lp.Backend.to_string backend in
-      let r1 = Mf.inc_solve h in
-      check_float (tag ^ ": first objective") 36.0 r1.Mf.objective;
-      Mf.inc_set_rhs h ~row:1 6.0;
-      let r2 = Mf.inc_solve h in
-      check_float (tag ^ ": tightened objective") 27.0 r2.Mf.objective;
-      Alcotest.(check int) (tag ^ ": solves") 2 (registry_counter "lp.solves");
-      Alcotest.(check int)
-        (tag ^ ": every solve tagged")
-        2
-        (registry_counter "lp.warm_starts" + registry_counter "lp.cold_starts");
-      let c = Mf.inc_counters h in
-      Alcotest.(check int) (tag ^ ": state solves") 2 c.Rs.solves;
-      if backend = Dls_lp.Backend.Sparse then
-        Alcotest.(check bool)
-          (tag ^ ": refactors counted")
-          true
-          (registry_counter "lp.factor.refactors" > 0))
-    [ Dls_lp.Backend.Dense; Dls_lp.Backend.Sparse ]
+let test_warm_fewer_pivots () =
+  (* Resuming from the previous optimal basis after a small relaxation
+     must beat the cold pivot count on a many-pivot chain, and reach
+     the optimum of a from-scratch solve. *)
+  let n = 60 in
+  let st = Rs.create (chain_problem n) in
+  let cold = Rs.solve_state st in
+  Alcotest.(check bool) "cold optimal" true (cold.Rs.status = Rs.Optimal);
+  Alcotest.(check bool) "cold pivots" true (cold.Rs.iterations > 0);
+  Rs.set_rhs st ~row:0 10.5;
+  let warm = Rs.solve_state st in
+  Alcotest.(check bool) "warm optimal" true (warm.Rs.status = Rs.Optimal);
+  Alcotest.(check int) "warm starts" 1 (Rs.counters st).Rs.warm_starts;
+  Alcotest.(check bool)
+    (Printf.sprintf "warm pivots (%d) < cold pivots (%d)" warm.Rs.iterations
+       cold.Rs.iterations)
+    true
+    (warm.Rs.iterations < cold.Rs.iterations);
+  let relaxed = chain_problem n in
+  let scratch =
+    Rs.solve
+      { relaxed with
+        Rs.rows =
+          List.mapi
+            (fun i (r : Rs.constr) -> if i = 0 then { r with Rs.rhs = 10.5 } else r)
+            relaxed.Rs.rows }
+  in
+  check_float "matches cold re-solve" scratch.Rs.objective warm.Rs.objective
 
 let prop_warm_matches_cold_after_tightening =
   (* The tentpole's correctness property in miniature: solve, scale
@@ -892,8 +888,8 @@ let () =
             test_state_update_validation;
           Alcotest.test_case "model incremental handle" `Quick
             test_model_incremental_handle;
-          Alcotest.test_case "model incremental, both backends" `Quick
-            test_model_incremental_both_backends ] );
+          Alcotest.test_case "fewer pivots than cold" `Quick
+            test_warm_fewer_pivots ] );
       ( "duals",
         [ Alcotest.test_case "textbook duals" `Quick test_dense_duals_textbook ] );
       qsuite "simplex-prop"

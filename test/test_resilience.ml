@@ -328,6 +328,72 @@ let tiny_config =
     E.Resilience.seed = 5; k = 6; rates = [ 0.05; 0.2 ]; per_rate = 2;
     periods = 8; measure_time = false }
 
+(* The simulator measures throughput over periods [warmup, periods),
+   with Simulator.run's default warm-up of 2 in the resilience runs.
+   Link faults during the warm-up delay transfers and that backlog
+   drains inside the window, so the faulted window rate can exceed the
+   allocation's promise.  What faults cannot do is deliver more in total
+   than the promise over the whole run. *)
+let sim_warmup = 2
+
+let conserved (config : E.Resilience.config) (h : E.Resilience.hres) =
+  let periods = float_of_int config.E.Resilience.periods in
+  let promised = h.E.Resilience.predicted *. periods in
+  h.E.Resilience.faulted *. (periods -. float_of_int sim_warmup)
+  <= promised +. (1e-6 *. Float.max 1.0 promised)
+
+(* Seed 28, index 2, LPR: the warm-up backlog lifts the faulted window
+   rate over the promise at warm-up 2 but not at warm-up 0, and the
+   conservation bound holds. *)
+let test_resilience_warmup_backlog () =
+  let config = { tiny_config with E.Resilience.seed = 28 } in
+  let index = 2 in
+  let h =
+    match E.Resilience.evaluate_index config index with
+    | E.Resilience.Skipped { reason; _ } -> Alcotest.failf "skipped: %s" reason
+    | E.Resilience.Record r -> (
+      match List.assoc Heuristics.LPR r.E.Resilience.results with
+      | Some h -> h
+      | None -> Alcotest.fail "LPR produced no result")
+  in
+  (* The index's problem and fault plan, drawn as evaluate_index draws
+     them; LPR is deterministic, so its allocation is the record's. *)
+  let rng = Prng.derive ~seed:config.E.Resilience.seed ~index in
+  let params = E.Measure.sample_params rng ~k:config.E.Resilience.k in
+  let platform = Gen.generate rng params in
+  let problem = E.Measure.assign_workload rng platform in
+  let periods = config.E.Resilience.periods in
+  let rate = E.Resilience.rate_of_index config index in
+  let plan =
+    Faults.random
+      ~seed:(config.E.Resilience.seed + ((index + 1) * 1_000_003))
+      ~horizon:(float_of_int periods) ~link_rate:rate
+      ~cluster_rate:(rate *. 0.5) platform
+  in
+  let alloc =
+    match Heuristics.run Heuristics.LPR problem with
+    | Ok a -> a
+    | Error msg -> Alcotest.failf "LPR: %s" msg
+  in
+  let faulted warmup =
+    let s =
+      Sim.run ~periods ~warmup ~faults:plan
+        ~fault_policy:config.E.Resilience.policy problem alloc
+    in
+    Array.fold_left ( +. ) 0.0 s.Sim.achieved
+  in
+  let bound = h.E.Resilience.predicted +. 1e-6 in
+  Alcotest.(check (float 1e-9)) "rebuilt run matches the record"
+    h.E.Resilience.faulted (faulted sim_warmup);
+  Alcotest.(check bool)
+    (Printf.sprintf "warm-up 2 exceeds the promise (%.2f > %.2f)"
+       h.E.Resilience.faulted h.E.Resilience.predicted)
+    true
+    (faulted sim_warmup > bound);
+  Alcotest.(check bool) "warm-up 0 stays within the promise" true
+    (faulted 0 <= bound);
+  Alcotest.(check bool) "conservation holds" true (conserved config h)
+
 let test_resilience_codec_roundtrip () =
   for index = 0 to E.Resilience.total tiny_config - 1 do
     let entry = E.Resilience.evaluate_index tiny_config index in
@@ -355,8 +421,8 @@ let test_resilience_collect_smoke () =
           | Some h ->
             Alcotest.(check bool) "baseline sane" true
               (h.E.Resilience.baseline >= 0.0);
-            Alcotest.(check bool) "faulted bounded by prediction" true
-              (h.E.Resilience.faulted <= h.E.Resilience.predicted +. 1e-6);
+            Alcotest.(check bool) "faulted delivery conserved" true
+              (conserved tiny_config h);
             Alcotest.(check bool) "repair time non-negative" true
               (h.E.Resilience.repair_seconds >= 0.0))
         r.E.Resilience.results)
@@ -430,6 +496,8 @@ let () =
         [ Alcotest.test_case "codec roundtrip" `Quick
             test_resilience_codec_roundtrip;
           Alcotest.test_case "collect smoke" `Quick test_resilience_collect_smoke;
+          Alcotest.test_case "warm-up backlog within conservation" `Quick
+            test_resilience_warmup_backlog;
           Alcotest.test_case "resume replays" `Quick test_resilience_resume_replays;
           Alcotest.test_case "deterministic across domains" `Quick
             test_resilience_determinism_across_domains ] ) ]
