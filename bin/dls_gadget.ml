@@ -71,9 +71,11 @@ let run graph_spec edge_file seed with_mip =
     (Problem.num_clusters problem)
     (Dls_platform.Platform.num_routers (Problem.platform problem))
     (Dls_platform.Platform.num_backbones (Problem.platform problem));
+  (* One MAXMIN relaxation serves LPR, LPRG and the LP line. *)
+  let relaxation = lazy (Relaxation.solve problem) in
   List.iter
     (fun h ->
-      match Heuristics.run ~rng:(Prng.create ~seed) h problem with
+      match Heuristics.run ~rng:(Prng.create ~seed) ~relaxation h problem with
       | Error msg -> Format.printf "%-5s failed: %s@." (Heuristics.name h) msg
       | Ok alloc ->
         let set = Reduction.independent_set_of_allocation alloc in
@@ -83,8 +85,9 @@ let run graph_spec edge_file seed with_mip =
           (String.concat ", " (List.map string_of_int set))
           (Mis.is_independent graph set))
     Heuristics.all;
-  (match Heuristics.lp_bound ~objective:Lp_relax.Maxmin problem with
-   | Ok v -> Format.printf "%-5s %.3f (fractional connections)@." "LP" v
+  (match Lazy.force relaxation with
+   | Ok r ->
+     Format.printf "%-5s %.3f (fractional connections)@." "LP" (Heuristics.bound_of r)
    | Error msg -> Format.printf "LP failed: %s@." msg);
   if with_mip then begin
     match Mip.solve ~objective:Lp_relax.Maxmin problem with

@@ -35,7 +35,9 @@ let run seed k app_fraction heuristic objective show_schedule periods
     exit 2
   | Some h -> begin
     Format.printf "%a@." Problem.pp problem;
-    match Heuristics.run ~objective ~rng h problem with
+    (* One relaxation serves LPR/LPRG and the LP bound line below. *)
+    let relaxation = lazy (Relaxation.solve ~objective problem) in
+    match Heuristics.run ~objective ~rng ~relaxation h problem with
     | Error msg ->
       Format.eprintf "%s failed: %s@." (Heuristics.name h) msg;
       exit 1
@@ -53,10 +55,10 @@ let run seed k app_fraction heuristic objective show_schedule periods
       Format.printf "fairness: Jain %.3f, min/max %.3f@."
         (Fairness.jain_index problem alloc)
         (Fairness.min_over_max problem alloc);
-      (match Heuristics.lp_bound ~objective problem with
-       | Ok bound -> Format.printf "LP bound (%s) = %.4f@."
+      (match Lazy.force relaxation with
+       | Ok r -> Format.printf "LP bound (%s) = %.4f@."
                        (match objective with Lp_relax.Sum -> "SUM" | _ -> "MAXMIN")
-                       bound
+                       (Heuristics.bound_of r)
        | Error msg -> Format.printf "LP bound unavailable: %s@." msg);
       if show_schedule then begin
         let exact = Schedule.exact_of_float ~approx_max_den:1000 alloc in

@@ -16,11 +16,13 @@ let () =
   let problem = E.Measure.sample_problem ~app_fraction:0.4 rng ~k:12 in
   Format.printf "%a@.@." Problem.pp problem;
 
-  let lp_maxmin =
-    match Heuristics.lp_bound ~objective:Lp_relax.Maxmin problem with
-    | Ok v -> v
+  (* One MAXMIN relaxation gives the bound and feeds LPR and LPRG. *)
+  let relaxation =
+    match Relaxation.solve ~objective:Lp_relax.Maxmin problem with
+    | Ok r -> r
     | Error msg -> Format.eprintf "LP failed: %s@." msg; exit 1
   in
+  let lp_maxmin = Heuristics.bound_of relaxation in
   let lp_sum =
     match Heuristics.lp_bound ~objective:Lp_relax.Sum problem with
     | Ok v -> v
@@ -33,7 +35,10 @@ let () =
   let best = ref None in
   List.iter
     (fun h ->
-      match Heuristics.run ~objective:Lp_relax.Maxmin ~rng h problem with
+      match
+        Heuristics.run ~objective:Lp_relax.Maxmin ~rng
+          ~relaxation:(Lazy.from_val (Ok relaxation)) h problem
+      with
       | Error msg -> Format.printf "%-6s failed: %s@." (Heuristics.name h) msg
       | Ok alloc ->
         assert (Allocation.is_feasible problem alloc);

@@ -14,11 +14,22 @@ let of_name s =
 
 let default_seed = 0x5EED
 
-let run ?objective ?rng spec problem =
+let run ?(objective = Lp_relax.Maxmin) ?rng ?relaxation spec problem =
+  let relaxed post =
+    match relaxation with
+    | None -> Result.map post (Relaxation.solve ~objective problem)
+    | Some r ->
+      Result.map
+        (fun (r : Relaxation.t) ->
+          if r.problem != problem || r.objective <> objective then
+            invalid_arg "Heuristics.run: relaxation of another problem or objective";
+          post r)
+        (Lazy.force r)
+  in
   match spec with
   | G -> Ok (Greedy.solve problem)
-  | LPR -> Lpr.solve ?objective problem
-  | LPRG -> Lprg.solve ?objective problem
+  | LPR -> relaxed Lpr.of_relaxation
+  | LPRG -> relaxed Lprg.of_relaxation
   | LPRR ->
     let rng =
       match rng with
@@ -27,9 +38,8 @@ let run ?objective ?rng spec problem =
     in
     Result.map
       (fun stats -> stats.Lprr.allocation)
-      (Lprr.solve ?objective ~rng problem)
+      (Lprr.solve ~objective ~rng problem)
 
-let lp_bound ?objective problem =
-  match Lp_relax.solve ?objective problem with
-  | Lp_relax.Solution sol -> Ok sol.Lp_relax.objective_value
-  | Lp_relax.Failed msg -> Error msg
+let bound_of (r : Relaxation.t) = r.solution.Lp_relax.objective_value
+
+let lp_bound ?objective problem = Result.map bound_of (Relaxation.solve ?objective problem)

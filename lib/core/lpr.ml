@@ -27,7 +27,6 @@ let round_down problem (sol : float Lp_relax.solution) =
   done;
   alloc
 
-let solve ?objective problem =
-  match Lp_relax.solve ?objective problem with
-  | Lp_relax.Solution sol -> Ok (round_down problem sol)
-  | Lp_relax.Failed msg -> Error msg
+let of_relaxation (r : Relaxation.t) = round_down r.problem r.solution
+
+let solve ?objective problem = Result.map of_relaxation (Relaxation.solve ?objective problem)

@@ -10,6 +10,9 @@
 val round_down : Problem.t -> float Lp_relax.solution -> Allocation.t
 (** Deterministic rounding of a relaxation solution. *)
 
+val of_relaxation : Relaxation.t -> Allocation.t
+(** {!round_down} of a solved relaxation. *)
+
 val solve :
   ?objective:Lp_relax.objective ->
   Problem.t ->

@@ -1,8 +1,7 @@
-let solve ?objective problem =
+let of_relaxation (r : Relaxation.t) =
   Dls_obs.Trace.with_span ~cat:"heuristic" "lprg.solve" @@ fun () ->
-  match Lp_relax.solve ?objective problem with
-  | Lp_relax.Failed msg -> Error msg
-  | Lp_relax.Solution sol ->
-    let rounded = Lpr.round_down problem sol in
-    let residual = Residual.of_allocation (Problem.platform problem) rounded in
-    Ok (Greedy.refine problem residual rounded)
+  let rounded = Lpr.of_relaxation r in
+  let residual = Residual.of_allocation (Problem.platform r.problem) rounded in
+  Greedy.refine r.problem residual rounded
+
+let solve ?objective problem = Result.map of_relaxation (Relaxation.solve ?objective problem)

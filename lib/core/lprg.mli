@@ -6,7 +6,13 @@
     This is the paper's best practical heuristic — close to the LP upper
     bound on the SUM objective at large K. *)
 
+val of_relaxation : Relaxation.t -> Allocation.t
+(** Round the solved relaxation down ({!Lpr.of_relaxation}), then
+    refine greedily over the residual capacities.  Traced as the
+    [lprg.solve] span, which covers this post-processing only. *)
+
 val solve :
   ?objective:Lp_relax.objective ->
   Problem.t ->
   (Allocation.t, string) result
+(** Solve the relaxation, then {!of_relaxation}. *)

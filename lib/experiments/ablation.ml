@@ -202,12 +202,11 @@ let topology_models ?(seed = 10) ?(k = 15) ?(per_model = 4) () =
         let problem = Measure.assign_workload rng platform in
         backbones :=
           float_of_int (Dls_platform.Platform.num_backbones platform) :: !backbones;
-        match
-          ( Heuristics.lp_bound ~objective:Lp_relax.Maxmin problem,
-            Lprg.solve ~objective:Lp_relax.Maxmin problem )
-        with
-        | Ok bound, Ok lprg when bound > eps ->
+        match Relaxation.solve ~objective:Lp_relax.Maxmin problem with
+        | Ok relaxation when Heuristics.bound_of relaxation > eps ->
           incr used;
+          let bound = Heuristics.bound_of relaxation in
+          let lprg = Lprg.of_relaxation relaxation in
           let g = Greedy.solve problem in
           g_ratios := (Allocation.maxmin_objective problem g /. bound) :: !g_ratios;
           lprg_ratios :=
@@ -260,12 +259,11 @@ let workload ?(seed = 8) ?(k = 15) ?(per_setting = 4) () =
         let problem =
           Measure.sample_problem ~app_fraction ~source_speed_factor rng ~k
         in
-        match
-          ( Heuristics.lp_bound ~objective:Lp_relax.Maxmin problem,
-            Lprg.solve ~objective:Lp_relax.Maxmin problem )
-        with
-        | Ok bound, Ok lprg when bound > eps ->
+        match Relaxation.solve ~objective:Lp_relax.Maxmin problem with
+        | Ok relaxation when Heuristics.bound_of relaxation > eps ->
           incr used;
+          let bound = Heuristics.bound_of relaxation in
+          let lprg = Lprg.of_relaxation relaxation in
           let g = Greedy.solve problem in
           g_ratios := (Allocation.maxmin_objective problem g /. bound) :: !g_ratios;
           lprg_ratios :=

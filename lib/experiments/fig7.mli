@@ -10,9 +10,9 @@ type row = {
   k : int;
   platforms : int;
   time_g : float;  (** mean seconds *)
-  time_lp : float;
-  time_lpr : float;
-  time_lprg : float;
+  time_lp : float;  (** the MAXMIN relaxation solve, shared below *)
+  time_lpr : float;  (** [time_lp] plus LPR's round-down *)
+  time_lprg : float;  (** [time_lp] plus round-down and greedy refinement *)
   time_lprr : float option;  (** [None] beyond [lprr_max_k] *)
   lprr_pivots : float option;
   (** Mean total simplex pivots of the MAXMIN LPRR run. *)

@@ -19,11 +19,17 @@ type values = {
   lprr_counters : Dls_lp.Revised_simplex.counters option;
   (** Solver instrumentation of the MAXMIN LPRR run (pivots, warm/cold
       starts, reinversions, wall-clock); [None] unless [with_lprr]. *)
-  time_lp : float;  (** seconds, one relaxation solve (MAXMIN) *)
+  time_lp : float;
+  (** seconds, the one MAXMIN relaxation solve shared by the LP bound,
+      LPR and LPRG *)
   time_g : float;
   time_lpr : float;
+  (** [time_lp] plus LPR's round-down of that shared MAXMIN solution:
+      LPR's running time on the paper's terms, so it includes the LP
+      time that [time_lp] also reports. *)
   time_lprg : float;
-  time_lprr : float option;
+  (** [time_lp] plus round-down plus greedy refinement (MAXMIN). *)
+  time_lprr : float option;  (** its own iterated LP solves (MAXMIN) *)
 }
 
 val evaluate :
@@ -34,7 +40,10 @@ val evaluate :
 (** Runs everything on one problem.  The LP-based heuristics are solved
     under each objective they are reported against (as in the paper,
     where the LP objective matches the reported metric); G produces a
-    single allocation evaluated under both.  All outputs are checked
+    single allocation evaluated under both.  The relaxation is solved
+    once per objective ({!Dls_core.Relaxation}) and that one solution
+    gives the LP bound, LPR and LPRG; LPRR runs its own iterated
+    solves.  All outputs are checked
     against the feasibility checker — an infeasible heuristic output is
     an internal error and yields [Error]. *)
 
@@ -81,4 +90,6 @@ val sample_problem :
     setting.  See EXPERIMENTS.md for the measured flat-line check. *)
 
 val time : (unit -> 'a) -> 'a * float
-(** Wall-clock seconds of one call. *)
+(** Wall-clock seconds of one call, on the non-decreasing
+    {!Dls_obs.Clock}: never negative, even across a backwards step of
+    the system clock. *)

@@ -93,8 +93,10 @@ let evaluate_index config index =
   with
   | exception Invalid_argument msg -> Skipped { index; reason = msg }
   | dproblem ->
+    (* LPR and LPRG share one MAXMIN relaxation. *)
+    let relaxation = lazy (Relaxation.solve problem) in
     let eval_heuristic h =
-      match Heuristics.run ~rng:(Prng.split rng) h problem with
+      match Heuristics.run ~rng:(Prng.split rng) ~relaxation h problem with
       | Error _ -> None
       | Ok alloc -> (
         let base = Simulator.run ~periods:config.periods problem alloc in

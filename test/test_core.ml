@@ -434,6 +434,61 @@ let prop_lprg_dominates_lpr =
           | _ -> false)
         [ Lp_relax.Sum; Lp_relax.Maxmin ])
 
+(* One shared relaxation must give exactly what the per-heuristic
+   wrappers give: the same bits in every alpha, the same betas and the
+   same bound, on Table 1 problems for both objectives. *)
+let same_alloc (a : Allocation.t) (b : Allocation.t) =
+  let bits = Array.map (Array.map Int64.bits_of_float) in
+  bits a.Allocation.alpha = bits b.Allocation.alpha && a.Allocation.beta = b.Allocation.beta
+
+let prop_shared_relaxation_matches_wrappers =
+  QCheck2.Test.make ~name:"shared relaxation = per-heuristic solves" ~count:15
+    seed_gen (fun seed ->
+      let rng = Prng.create ~seed in
+      let k = Prng.int rng ~lo:3 ~hi:15 in
+      let pr = Dls_experiments.Measure.sample_problem rng ~k in
+      List.for_all
+        (fun objective ->
+          match
+            ( Relaxation.solve ~objective pr,
+              Lpr.solve ~objective pr,
+              Lprg.solve ~objective pr,
+              Heuristics.lp_bound ~objective pr )
+          with
+          | Ok r, Ok lpr, Ok lprg, Ok bound ->
+            let relaxation = lazy (Ok r) in
+            let run h = Heuristics.run ~objective ~relaxation h pr in
+            same_alloc (Lpr.of_relaxation r) lpr
+            && same_alloc (Lprg.of_relaxation r) lprg
+            && Int64.equal (Int64.bits_of_float (Heuristics.bound_of r))
+                 (Int64.bits_of_float bound)
+            && (match (run Heuristics.LPR, run Heuristics.LPRG) with
+                | Ok a, Ok b -> same_alloc a lpr && same_alloc b lprg
+                | _ -> false)
+          | _ -> false)
+        [ Lp_relax.Sum; Lp_relax.Maxmin ])
+
+let test_run_rejects_foreign_relaxation () =
+  let pr = random_problem 7 in
+  let relaxation = lazy (Relaxation.solve ~objective:Lp_relax.Sum pr) in
+  Alcotest.check_raises "objective mismatch"
+    (Invalid_argument "Heuristics.run: relaxation of another problem or objective")
+    (fun () ->
+      ignore (Heuristics.run ~objective:Lp_relax.Maxmin ~relaxation Heuristics.LPR pr));
+  Alcotest.check_raises "problem mismatch"
+    (Invalid_argument "Heuristics.run: relaxation of another problem or objective")
+    (fun () ->
+      ignore
+        (Heuristics.run ~objective:Lp_relax.Sum ~relaxation Heuristics.LPRG
+           (random_problem 8)));
+  (* G and LPRR never force it. *)
+  let unforced = lazy (Alcotest.fail "relaxation forced") in
+  List.iter
+    (fun h ->
+      Alcotest.(check bool) (Heuristics.name h) true
+        (Result.is_ok (Heuristics.run ~relaxation:unforced h pr)))
+    [ Heuristics.G; Heuristics.LPRR ]
+
 (* ------------------------------------------------------------------ *)
 (* Schedule reconstruction                                             *)
 (* ------------------------------------------------------------------ *)
@@ -1102,10 +1157,12 @@ let () =
           Alcotest.test_case "LPRR stats" `Quick test_lprr_stats_bounds;
           Alcotest.test_case "LPRR warm vs cold smoke" `Quick
             test_lprr_warm_cold_same_coins;
-          Alcotest.test_case "names" `Quick test_heuristics_names ] );
+          Alcotest.test_case "names" `Quick test_heuristics_names;
+          Alcotest.test_case "shared relaxation guard" `Quick
+            test_run_rejects_foreign_relaxation ] );
       qsuite "heuristics-prop"
         [ prop_heuristics_feasible; prop_lp_upper_bounds_heuristics;
-          prop_lprg_dominates_lpr ];
+          prop_lprg_dominates_lpr; prop_shared_relaxation_matches_wrappers ];
       qsuite "lprr-warm-prop"
         [ prop_lprr_slots_match_recompute; prop_lprr_warm_matches_cold_lps ];
       qsuite "schedule-prop" [ prop_schedule_approx_always_valid ];

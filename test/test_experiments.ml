@@ -95,6 +95,21 @@ let test_evaluate_consistency () =
     Alcotest.(check bool) "timings non-negative" true
       (v.E.Measure.time_lp >= 0.0 && v.E.Measure.time_g >= 0.0)
 
+(* The LP bound, LPR and LPRG share one relaxation per objective: a
+   record without LPRR costs exactly two LP solves. *)
+let test_evaluate_solves_twice () =
+  let module M = Dls_obs.Metrics in
+  let pr = E.Measure.sample_problem (Prng.create ~seed:24) ~k:10 in
+  M.reset ();
+  M.enable ();
+  Fun.protect ~finally:(fun () -> M.disable (); M.reset ()) @@ fun () ->
+  (match E.Measure.evaluate ~with_lprr:false pr with
+   | Ok _ -> ()
+   | Error msg -> Alcotest.failf "evaluate failed: %s" msg);
+  match List.assoc_opt "lp.solves" (M.snapshot ()) with
+  | Some (M.Counter n) -> Alcotest.(check int) "LP solves per record" 2 n
+  | _ -> Alcotest.fail "lp.solves counter missing"
+
 let test_time_measures () =
   let (), t = E.Measure.time (fun () -> Unix.sleepf 0.02) in
   Alcotest.(check bool) "time ~ 20ms" true (t >= 0.015 && t < 1.0)
@@ -552,6 +567,8 @@ let () =
           Alcotest.test_case "literal setting is trivial" `Quick
             test_sample_problem_literal_setting;
           Alcotest.test_case "evaluate" `Quick test_evaluate_consistency;
+          Alcotest.test_case "two LP solves per record" `Quick
+            test_evaluate_solves_twice;
           Alcotest.test_case "time" `Quick test_time_measures ] );
       ( "figures",
         [ Alcotest.test_case "fig5" `Quick test_fig5_smoke;
