@@ -308,129 +308,6 @@ let daemon_series ?(seed = 71) ?(ks = [ 6; 10 ]) () =
   Format.printf "@."
 
 (* ------------------------------------------------------------------ *)
-(* Part 1g: daemon load series (sustained req/s under client load)     *)
-(* ------------------------------------------------------------------ *)
-
-(* The first daemon point on the BENCH trajectory: sustained
-   throughput, tail latency and shed rate under a deterministic client
-   population ([Dls_daemon.Load]), comparing the single-threaded cold
-   baseline (workers = 0, no resident handle, no coalescing) against
-   the warm configuration (resident incremental LP + request batching
-   + a 4-domain worker pool) at equal K and offered load.  One JSON
-   line per configuration, so CI can parse thresholds out of the
-   output. *)
-let daemon_load_series ?(seed = 81) ?(k = 8) ?(clients = 8)
-    ?(duration_s = 5.0) () =
-  let module DD = Dls_daemon in
-  let module J = Dls_util.Json in
-  Format.printf
-    "=== Daemon load series (K=%d, %d clients, %.1fs per mode) ===@.@." k
-    clients duration_s;
-  let health_num name j =
-    match J.member name j with Some (J.Num v) -> v | _ -> nan
-  in
-  let health_probe addr =
-    let fd =
-      match addr with
-      | Dls_obs.Publish.Unix_sock path ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        fd
-      | _ -> failwith "bench daemon is unix-domain"
-    in
-    Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
-    DD.Protocol.write_frame fd
-      (J.to_string (DD.Protocol.request_to_json DD.Protocol.Health));
-    let buf = Buffer.create 256 in
-    match DD.Protocol.read_frame ~timeout:10.0 ~buf fd with
-    | Ok reply -> (
-      match J.of_string reply with
-      | Ok j -> j
-      | Error e -> failwith ("health reply: " ^ e))
-    | Error e -> failwith ("health probe: " ^ e)
-  in
-  let run_mode ~label ~workers ~resident ~coalesce =
-    let dir = Filename.temp_file "dls_bench_daemon" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o755;
-    Fun.protect
-      ~finally:(fun () ->
-        Array.iter
-          (fun f -> try Sys.remove (Filename.concat dir f) with _ -> ())
-          (Sys.readdir dir);
-        try Unix.rmdir dir with _ -> ())
-    @@ fun () ->
-    let pf =
-      Dls_platform.Generator.generate (Prng.create ~seed)
-        { Dls_platform.Generator.default_params with k }
-    in
-    let state = DD.State.create pf in
-    for c = 0 to k - 1 do
-      if c mod 2 = 0 then
-        match
-          DD.State.apply state
-            (DD.Protocol.Register_app
-               { app = Printf.sprintf "load%d" c; cluster = c; payoff = 1.0 })
-        with
-        | Ok () -> ()
-        | Error e -> failwith e
-    done;
-    let addr = Dls_obs.Publish.Unix_sock (Filename.concat dir "d.sock") in
-    let config =
-      { (DD.Server.default_config addr) with
-        DD.Server.workers; resident; coalesce; queue_cap = 256 }
-    in
-    let stop = Atomic.make false in
-    let ready = Atomic.make false in
-    let thread =
-      Thread.create
-        (fun () ->
-          ignore
-            (DD.Server.serve
-               ~should_stop:(fun () -> Atomic.get stop)
-               ~on_ready:(fun () -> Atomic.set ready true)
-               config state None))
-        ()
-    in
-    let t0 = Unix.gettimeofday () in
-    while (not (Atomic.get ready)) && Unix.gettimeofday () -. t0 < 5.0 do
-      Thread.yield ()
-    done;
-    if not (Atomic.get ready) then failwith "bench daemon did not come up";
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.set stop true;
-        Thread.join thread)
-    @@ fun () ->
-    let stats =
-      DD.Load.run ~mode:DD.Load.Closed ~mutate_every:16 ~addr
-        ~seed:(seed + 1) ~clients ~duration_s ~k ()
-    in
-    let health = health_probe addr in
-    let extra =
-      [ ("mode", J.Str label);
-        ("workers", J.Num (float_of_int workers));
-        ("k", J.Num (float_of_int k));
-        ("clients", J.Num (float_of_int clients));
-        ("solves", J.Num (health_num "solves" health));
-        ("coalesced", J.Num (health_num "coalesced" health));
-        ("warm_hits", J.Num (health_num "warm_hits" health));
-        ("rebuilds", J.Num (health_num "rebuilds" health)) ]
-    in
-    Format.printf "%s@." (J.to_string (DD.Load.to_json ~extra stats));
-    DD.Load.rps stats
-  in
-  let base_rps =
-    run_mode ~label:"baseline" ~workers:0 ~resident:false ~coalesce:false
-  in
-  let warm_rps =
-    run_mode ~label:"warm" ~workers:4 ~resident:true ~coalesce:true
-  in
-  if base_rps > 0.0 then
-    Format.printf "@.warm/baseline speedup: %.2fx@." (warm_rps /. base_rps);
-  Format.printf "@."
-
-(* ------------------------------------------------------------------ *)
 (* Part 2: Bechamel micro-benchmarks, one group per table/figure       *)
 (* ------------------------------------------------------------------ *)
 
@@ -643,11 +520,11 @@ let flag_value name =
    flag must not fall through to the full multi-minute suite. *)
 let mode_flags =
   [ "--quick"; "--warm"; "--lp-scale"; "--campaign"; "--resilience";
-    "--dynsim"; "--daemon-load"; "--daemon"; "--debug" ]
+    "--dynsim"; "--daemon" ]
 
 let value_flags =
   [ "--trace"; "--metrics"; "--log"; "--log-level"; "--flight";
-    "--telemetry"; "--publish"; "--load-k"; "--load-clients"; "--load-secs" ]
+    "--telemetry"; "--publish" ]
 
 let check_args () =
   let usage msg =
@@ -667,12 +544,6 @@ let check_args () =
 
 let () =
   check_args ();
-  (* --debug surfaces the solver's per-solve instrumentation lines
-     (warm/cold tag, pivots, reinversions, wall-clock). *)
-  if Array.exists (String.equal "--debug") Sys.argv then begin
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
   (match
      ( flag_value "--trace", flag_value "--metrics", flag_value "--log",
        flag_value "--flight", flag_value "--telemetry", flag_value "--publish" )
@@ -692,9 +563,8 @@ let () =
             exit 2)
         telemetry
     in
-    Dls_obs.Obs.configure ?trace ?metrics ?log
-      ~log_level:(Option.value log_level ~default:Dls_obs.Log.Info)
-      ?flight ?telemetry ?publish ();
+    Dls_obs.Obs.configure ?trace ?metrics ?log ?log_level ?flight ?telemetry
+      ?publish ();
     at_exit Dls_obs.Obs.finalize);
   if Array.exists (String.equal "--quick") Sys.argv then quick ()
   else if Array.exists (String.equal "--warm") Sys.argv then
@@ -712,19 +582,6 @@ let () =
   else if Array.exists (String.equal "--dynsim") Sys.argv then
     (* Just the event-loop throughput + re-plan latency series. *)
     dynsim_series ()
-  else if Array.exists (String.equal "--daemon-load") Sys.argv then begin
-    (* Just the daemon load benchmark (baseline vs warm configuration).
-       --load-secs / --load-clients override the per-mode duration and
-       client count (the CI smoke runs a short, small version). *)
-    let fv name conv default =
-      match flag_value name with Some s -> conv s | None -> default
-    in
-    daemon_load_series
-      ~k:(fv "--load-k" int_of_string 24)
-      ~clients:(fv "--load-clients" int_of_string 8)
-      ~duration_s:(fv "--load-secs" float_of_string 5.0)
-      ()
-  end
   else if Array.exists (String.equal "--daemon") Sys.argv then
     (* Just the deadline-budgeted daemon solve ladder series. *)
     daemon_series ()

@@ -10,103 +10,9 @@ open Cmdliner
 module J = Dls_util.Json
 module D = Dls_daemon
 
-let setup_logs () =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some Logs.Warning)
-
-let addr_conv =
-  let parse s =
-    match Dls_obs.Publish.addr_of_string s with
-    | Ok a -> Ok a
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv
-    ( parse,
-      fun fmt a ->
-        Format.pp_print_string fmt (Dls_obs.Publish.addr_to_string a) )
-
 let addr_arg =
   let doc = "Listen/connect address: PORT, HOST:PORT or unix:PATH." in
-  Arg.(required & opt (some addr_conv) None & info [ "addr" ] ~docv:"ADDR" ~doc)
-
-(* ------------------------------------------------------------------ *)
-(* Observability flags (same set as the experiments CLI)               *)
-(* ------------------------------------------------------------------ *)
-
-type obs_flags = {
-  o_trace : string option;
-  o_metrics : string option;
-  o_log : string option;
-  o_log_level : Dls_obs.Log.level;
-  o_flight : string option;
-  o_telemetry : Dls_obs.Publish.addr option;
-  o_publish : string option;
-  o_publish_interval : float;
-}
-
-let obs_term =
-  let trace =
-    Arg.(value & opt (some string) None
-         & info [ "trace" ] ~docv:"FILE"
-             ~doc:"Write a Chrome trace_event JSON file to $(docv) at exit.")
-  in
-  let metrics =
-    Arg.(value & opt (some string) None
-         & info [ "metrics" ] ~docv:"FILE"
-             ~doc:"Enable the metrics registry (daemon.* counters included) \
-                   and dump JSONL to $(docv) at exit.")
-  in
-  let log =
-    Arg.(value & opt (some string) None
-         & info [ "log" ] ~docv:"FILE"
-             ~doc:"Append structured JSONL log records to $(docv), live.")
-  in
-  let log_level =
-    Arg.(value
-         & opt
-             (enum
-                [ ("error", Dls_obs.Log.Error); ("warn", Dls_obs.Log.Warn);
-                  ("info", Dls_obs.Log.Info); ("debug", Dls_obs.Log.Debug) ])
-             Dls_obs.Log.Info
-         & info [ "log-level" ] ~docv:"LEVEL"
-             ~doc:"Log threshold for --log: error, warn, info or debug.")
-  in
-  let flight =
-    Arg.(value & opt (some string) None
-         & info [ "flight" ] ~docv:"FILE"
-             ~doc:"Bounded in-memory flight recorder, dumped as JSONL to \
-                   $(docv) at exit, on an uncaught exception and on \
-                   SIGUSR1; server crashes caught by the supervisor are \
-                   recorded here before the restart.")
-  in
-  let telemetry =
-    Arg.(value & opt (some addr_conv) None
-         & info [ "telemetry" ] ~docv:"ADDR"
-             ~doc:"Serve live Prometheus exposition of the metrics registry \
-                   (daemon.* series included) on $(docv).")
-  in
-  let publish =
-    Arg.(value & opt (some string) None
-         & info [ "publish" ] ~docv:"FILE"
-             ~doc:"Append periodic metrics-snapshot deltas to $(docv).")
-  in
-  let publish_interval =
-    Arg.(value & opt float 1.0
-         & info [ "publish-interval" ] ~docv:"SECS"
-             ~doc:"Seconds between --publish ticks.")
-  in
-  let mk o_trace o_metrics o_log o_log_level o_flight o_telemetry o_publish
-      o_publish_interval =
-    { o_trace; o_metrics; o_log; o_log_level; o_flight; o_telemetry;
-      o_publish; o_publish_interval }
-  in
-  Term.(const mk $ trace $ metrics $ log $ log_level $ flight $ telemetry
-        $ publish $ publish_interval)
-
-let configure_obs o =
-  Dls_obs.Obs.configure ?trace:o.o_trace ?metrics:o.o_metrics ?log:o.o_log
-    ~log_level:o.o_log_level ?flight:o.o_flight ?telemetry:o.o_telemetry
-    ?publish:o.o_publish ~publish_interval:o.o_publish_interval ()
+  Arg.(required & opt (some Obs_cli.addr_conv) None & info [ "addr" ] ~docv:"ADDR" ~doc)
 
 (* ------------------------------------------------------------------ *)
 (* serve                                                               *)
@@ -221,8 +127,7 @@ let serve_cmd =
   let run addr platform_file gen_k gen_seed wal queue_cap max_conns
       conn_timeout budget_ms breaker_threshold breaker_backoff seed
       max_restarts allow_crash workers no_resident no_coalesce obs =
-    setup_logs ();
-    configure_obs obs;
+    Obs_cli.configure obs;
     at_exit Dls_obs.Obs.finalize;
     match load_platform platform_file gen_k gen_seed with
     | Error msg ->
@@ -257,7 +162,7 @@ let serve_cmd =
          reattached exactly as a process restart would. *)
       let on_restart _exn _n =
         Dls_obs.Obs.finalize ();
-        configure_obs obs
+        Obs_cli.configure obs
       in
       (match
          D.Supervisor.run ~on_restart ~max_restarts config ~load
@@ -274,7 +179,7 @@ let serve_cmd =
           $ wal_arg $ queue_cap_arg $ max_conns_arg $ conn_timeout_arg
           $ budget_arg $ breaker_threshold_arg $ breaker_backoff_arg
           $ seed_arg $ max_restarts_arg $ allow_crash_arg $ workers_arg
-          $ no_resident_arg $ no_coalesce_arg $ obs_term)
+          $ no_resident_arg $ no_coalesce_arg $ Obs_cli.term)
 
 (* ------------------------------------------------------------------ *)
 (* client                                                              *)
@@ -376,7 +281,6 @@ let client_cmd =
                    wedges.")
   in
   let run addr op op_args objective budget_ms timeout linger =
-    setup_logs ();
     match parse_request op op_args objective budget_ms with
     | Error msg ->
       Format.eprintf "dls_daemond client: %s@." msg;

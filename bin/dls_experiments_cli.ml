@@ -6,115 +6,17 @@
 open Cmdliner
 module E = Dls_experiments
 
-let setup_logs () =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some Logs.Warning)
-
 let out_arg =
   let doc = "Also write the result as CSV to $(docv)." in
   Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"FILE" ~doc)
-
-let trace_arg =
-  let doc =
-    "Record hierarchical spans and write a Chrome trace_event JSON file to \
-     $(docv) at exit (load it in chrome://tracing or ui.perfetto.dev)."
-  in
-  Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-
-let metrics_arg =
-  let doc =
-    "Enable the metrics registry (solver, heuristic, simulator and campaign \
-     counters/histograms) and write a JSONL dump to $(docv) at exit."
-  in
-  Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-
-let log_arg =
-  let doc =
-    "Append structured JSONL log records (one JSON object per line: ts, \
-     level, msg, typed fields) to $(docv), live."
-  in
-  Arg.(value & opt (some string) None & info [ "log" ] ~docv:"FILE" ~doc)
-
-let log_level_arg =
-  let doc = "Log threshold for --log: error, warn, info or debug." in
-  Arg.(value
-       & opt
-           (enum
-              [ ("error", Dls_obs.Log.Error); ("warn", Dls_obs.Log.Warn);
-                ("info", Dls_obs.Log.Info); ("debug", Dls_obs.Log.Debug) ])
-           Dls_obs.Log.Info
-       & info [ "log-level" ] ~docv:"LEVEL" ~doc)
-
-let flight_arg =
-  let doc =
-    "Keep a bounded in-memory flight recorder of recent log records, span \
-     completions and fault instants, dumped as JSONL to $(docv) at exit, on \
-     an uncaught exception, and on SIGUSR1 — the post-mortem for a crashed \
-     or wedged run."
-  in
-  Arg.(value & opt (some string) None & info [ "flight" ] ~docv:"FILE" ~doc)
-
-let telemetry_conv =
-  let parse s =
-    match Dls_obs.Publish.addr_of_string s with
-    | Ok a -> Ok a
-    | Error msg -> Error (`Msg msg)
-  in
-  Arg.conv (parse, fun fmt a -> Format.pp_print_string fmt (Dls_obs.Publish.addr_to_string a))
-
-let telemetry_arg =
-  let doc =
-    "Serve live Prometheus text exposition of the metrics registry on \
-     $(docv) (PORT, HOST:PORT or unix:PATH) for the whole run; scrape with \
-     curl or Prometheus.  Implies the registry is enabled."
-  in
-  Arg.(value & opt (some telemetry_conv) None
-       & info [ "telemetry" ] ~docv:"ADDR" ~doc)
-
-let publish_arg =
-  let doc =
-    "Append periodic metrics-snapshot deltas to $(docv) as timestamped \
-     JSONL, one tick per --publish-interval; folding the deltas together \
-     reconstructs the cumulative registry state at any tick.  Implies the \
-     registry is enabled."
-  in
-  Arg.(value & opt (some string) None & info [ "publish" ] ~docv:"FILE" ~doc)
-
-let publish_interval_arg =
-  let doc = "Seconds between --publish ticks." in
-  Arg.(value & opt float 1.0 & info [ "publish-interval" ] ~docv:"SECS" ~doc)
-
-(* The full observability flag set, bundled so every long-running
-   subcommand picks it up as one Cmdliner term. *)
-type obs_flags = {
-  o_trace : string option;
-  o_metrics : string option;
-  o_log : string option;
-  o_log_level : Dls_obs.Log.level;
-  o_flight : string option;
-  o_telemetry : Dls_obs.Publish.addr option;
-  o_publish : string option;
-  o_publish_interval : float;
-}
-
-let obs_term =
-  let mk o_trace o_metrics o_log o_log_level o_flight o_telemetry o_publish
-      o_publish_interval =
-    { o_trace; o_metrics; o_log; o_log_level; o_flight; o_telemetry;
-      o_publish; o_publish_interval }
-  in
-  Term.(const mk $ trace_arg $ metrics_arg $ log_arg $ log_level_arg
-        $ flight_arg $ telemetry_arg $ publish_arg $ publish_interval_arg)
 
 (* Observability is configured once before the run and flushed once at
    process exit — [at_exit] rather than an unwind handler so the files
    are also written on the [exit 1] error paths, where a partial trace
    is exactly the one worth looking at.  [Obs.finalize] is idempotent,
    so the handler is registered unconditionally. *)
-let with_obs o f =
-  Dls_obs.Obs.configure ?trace:o.o_trace ?metrics:o.o_metrics ?log:o.o_log
-    ~log_level:o.o_log_level ?flight:o.o_flight ?telemetry:o.o_telemetry
-    ?publish:o.o_publish ~publish_interval:o.o_publish_interval ();
+let with_obs ?stderr_level o f =
+  Obs_cli.configure ?stderr_level o;
   at_exit Dls_obs.Obs.finalize;
   f ()
 
@@ -140,7 +42,7 @@ let emit ?out table =
 
 let table1_cmd =
   let run out =
-    setup_logs ();
+    Obs_cli.stderr_log ();
     emit ?out (E.Table1.grid_table ());
     emit (E.Table1.stats_table (E.Table1.sample_stats ()))
   in
@@ -150,7 +52,7 @@ let table1_cmd =
 
 let fig5_cmd =
   let run seed ks per_k out =
-    setup_logs ();
+    Obs_cli.stderr_log ();
     emit ?out (E.Fig5.table (E.Fig5.run ~seed ~ks ~per_k ()))
   in
   Cmd.v
@@ -161,7 +63,7 @@ let fig5_cmd =
 
 let fig6_cmd =
   let run seed ks per_k out =
-    setup_logs ();
+    Obs_cli.stderr_log ();
     emit ?out (E.Fig6.table (E.Fig6.run ~seed ~ks ~per_k ()))
   in
   Cmd.v
@@ -174,7 +76,7 @@ let fig7_cmd =
     Arg.(value & opt int 20 & info [ "lprr-max-k" ] ~docv:"K" ~doc)
   in
   let run seed ks per_k lprr_max_k out =
-    setup_logs ();
+    Obs_cli.stderr_log ();
     emit ?out (E.Fig7.table (E.Fig7.run ~seed ~ks ~per_k ~lprr_max_k ()))
   in
   Cmd.v
@@ -184,7 +86,7 @@ let fig7_cmd =
 
 let aggregate_cmd =
   let run seed ks per_k out =
-    setup_logs ();
+    Obs_cli.stderr_log ();
     emit ?out (E.Aggregate.table (E.Aggregate.run ~seed ~ks ~per_k ()))
   in
   Cmd.v
@@ -195,7 +97,7 @@ let aggregate_cmd =
 
 let ablation_cmd =
   let run seed out =
-    setup_logs ();
+    Obs_cli.stderr_log ();
     emit ?out (E.Ablation.rounding_table (E.Ablation.rounding_policy ~seed ()));
     emit (E.Ablation.tight_table (E.Ablation.network_tight ~seed:(seed + 1) ()));
     emit (E.Ablation.workload_table (E.Ablation.workload ~seed:(seed + 2) ()));
@@ -219,7 +121,7 @@ let sweep_cmd =
          & info [ "with-lprr" ] ~doc:"Also run LPRR on every platform (K^2 LP solves).")
   in
   let run seed ks per_k with_lprr out =
-    setup_logs ();
+    Obs_cli.stderr_log ();
     let oc = match out with Some path -> Some (open_out path) | None -> None in
     let emit_line line =
       match oc with
@@ -307,13 +209,12 @@ let campaign_cmd =
   in
   let run seed ks per_k with_lprr lprr_max_k no_timings shards shard resume
       out_jsonl checkpoint_every domains chunk quiet obs =
-    Logs.set_reporter (Logs_fmt.reporter ());
-    Logs.set_level (Some (if quiet then Logs.Warning else Logs.Info));
     let config =
       { E.Campaign.seed; ks; per_k; with_lprr; lprr_max_k;
         measure_time = not no_timings }
     in
-    with_obs obs @@ fun () ->
+    let stderr_level = if quiet then Dls_obs.Log.Warn else Dls_obs.Log.Info in
+    with_obs ~stderr_level obs @@ fun () ->
     match
       E.Campaign.run ?domains ?chunk ~checkpoint_every ~shards ?shard ~resume
         ?out:out_jsonl config
@@ -336,7 +237,7 @@ let campaign_cmd =
           $ per_k_arg 5 $ with_lprr_arg $ lprr_max_k_arg $ no_timings_arg
           $ shards_arg $ shard_arg $ resume_arg $ out_jsonl_arg
           $ checkpoint_every_arg $ domains_arg $ chunk_arg $ quiet_arg
-          $ obs_term)
+          $ Obs_cli.term)
 
 let resilience_cmd =
   let rates_arg =
@@ -384,7 +285,6 @@ let resilience_cmd =
   in
   let run seed k rates per_rate periods kill no_timings resume out_jsonl domains
       out obs =
-    setup_logs ();
     let config =
       { E.Resilience.seed; k; rates; per_rate; periods;
         policy = (if kill then Dls_flowsim.Faults.Kill else Dls_flowsim.Faults.Stall);
@@ -420,7 +320,7 @@ let resilience_cmd =
           runner's checkpoint/resume).")
     Term.(const run $ seed_arg 21 $ k_arg $ rates_arg $ per_rate_arg
           $ periods_arg $ kill_arg $ no_timings_arg $ resume_arg $ out_jsonl_arg
-          $ domains_arg $ out_arg $ obs_term)
+          $ domains_arg $ out_arg $ Obs_cli.term)
 
 let dynamic_cmd =
   let k_arg =
@@ -494,7 +394,6 @@ let dynamic_cmd =
   in
   let run seed k platforms jobs rate heavy swf work_scale fault_rate
       policy_names no_timings resume out_jsonl domains events out obs =
-    setup_logs ();
     let policies =
       List.map
         (fun name ->
@@ -553,11 +452,11 @@ let dynamic_cmd =
           $ heavy_arg $ swf_arg $ work_scale_arg $ fault_rate_arg
           $ policies_arg $ no_timings_arg
           $ resume_arg $ out_jsonl_arg $ domains_arg $ events_arg $ out_arg
-          $ obs_term)
+          $ Obs_cli.term)
 
 let adaptivity_cmd =
   let run seed out =
-    setup_logs ();
+    Obs_cli.stderr_log ();
     match E.Adaptivity.run ~seed () with
     | Ok trace -> emit ?out (E.Adaptivity.table trace)
     | Error msg ->
@@ -573,7 +472,7 @@ let adaptivity_cmd =
 
 let all_cmd =
   let run seed =
-    setup_logs ();
+    Obs_cli.stderr_log ();
     emit (E.Table1.grid_table ());
     emit (E.Table1.stats_table (E.Table1.sample_stats ~seed ()));
     emit (E.Fig5.table (E.Fig5.run ~seed ()));

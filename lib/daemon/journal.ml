@@ -1,5 +1,6 @@
 module J = Dls_util.Json
 module Wal = Dls_util.Wal
+module Olog = Dls_obs.Log
 
 let ( let* ) = Result.bind
 
@@ -61,10 +62,10 @@ let open_ ~path ~platform =
     if Sys.file_exists path then begin
       let* entries, valid_len = Wal.load ~of_line:record_of_line ~path in
       let dropped = Wal.truncate_torn ~path ~valid_len in
-      if dropped > 0 then
-        Logs.warn (fun m ->
-            m "daemon journal: dropping %d torn trailing bytes of %s" dropped
-              path);
+      if dropped > 0 && Olog.enabled Olog.Warn then
+        Olog.warn "daemon.journal.torn_tail"
+          ~fields:
+            [ ("path", Olog.Str path); ("dropped_bytes", Olog.Int dropped) ];
       Ok entries
     end
     else Ok []

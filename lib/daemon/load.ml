@@ -2,27 +2,16 @@
 
    Each client is a thread with a persistent connection and its own
    [Prng.derive] stream, so the *sequence* of requests (objectives,
-   think times, mutation payloads) is a pure function of the seed and
-   client index — two runs against equivalent servers issue the same
-   request mix, which is what lets the bench compare configurations
-   and the tests assert invariants over the aggregate counters.  Only
-   the wall-clock interleaving varies run to run. *)
+   mutation payloads) is a pure function of the seed and client index —
+   two runs against equivalent servers issue the same request mix,
+   which is what lets the tests assert invariants over the aggregate
+   counters.  Only the wall-clock interleaving varies run to run. *)
 
 module P = Protocol
 module J = Dls_util.Json
 module Prng = Dls_util.Prng
 
-type mode = Closed | Open_loop of float
-
-type stats = {
-  sent : int;
-  ok : int;
-  overloaded : int;
-  errors : int;
-  mutations : int;
-  wall_s : float;
-  latencies : float array;
-}
+type stats = { ok : int; errors : int; latencies : float array }
 
 let percentile sorted p =
   let n = Array.length sorted in
@@ -35,11 +24,8 @@ let percentile sorted p =
 
 (* Per-client accumulator; merged under [agg_lock] at thread exit. *)
 type client_acc = {
-  mutable c_sent : int;
   mutable c_ok : int;
-  mutable c_overloaded : int;
   mutable c_errors : int;
-  mutable c_mutations : int;
   mutable c_lat : float list;
 }
 
@@ -85,7 +71,6 @@ let round_trip ~timeout fd_ref buf addr req acc =
     P.write_frame fd req_json;
     P.read_frame ~timeout ~buf fd
   in
-  acc.c_sent <- acc.c_sent + 1;
   let t0 = Unix.gettimeofday () in
   match (try attempt () with _ -> Error "io") with
   | Ok reply -> (
@@ -94,7 +79,7 @@ let round_trip ~timeout fd_ref buf addr req acc =
     | "ok" ->
       acc.c_ok <- acc.c_ok + 1;
       acc.c_lat <- dt :: acc.c_lat
-    | "overloaded" -> acc.c_overloaded <- acc.c_overloaded + 1
+    | "overloaded" -> ()  (* shed by admission control: not a failure *)
     | _ -> acc.c_errors <- acc.c_errors + 1)
   | Error _ ->
     acc.c_errors <- acc.c_errors + 1;
@@ -103,7 +88,7 @@ let round_trip ~timeout fd_ref buf addr req acc =
     | None -> ());
     fd_ref := None
 
-let run ?(mode = Closed) ?(budget_ms = 2000.0) ?(timeout = 10.0)
+let run ?(budget_ms = 2000.0) ?(timeout = 10.0)
     ?(mutate_every = 0) ~addr ~seed ~clients ~duration_s ~k () =
   if clients < 1 then invalid_arg "Load.run: clients must be >= 1";
   if k < 1 then invalid_arg "Load.run: k must be >= 1";
@@ -114,10 +99,7 @@ let run ?(mode = Closed) ?(budget_ms = 2000.0) ?(timeout = 10.0)
   let accs = ref [] in
   let client idx () =
     let rng = Prng.derive ~seed ~index:idx in
-    let acc =
-      { c_sent = 0; c_ok = 0; c_overloaded = 0; c_errors = 0;
-        c_mutations = 0; c_lat = [] }
-    in
+    let acc = { c_ok = 0; c_errors = 0; c_lat = [] } in
     let fd_ref = ref None in
     let buf = Buffer.create 4096 in
     let n = ref 0 in
@@ -127,7 +109,6 @@ let run ?(mode = Closed) ?(budget_ms = 2000.0) ?(timeout = 10.0)
         if mutate_every > 0 && idx = 0 && !n mod mutate_every = 0 then begin
           (* client 0 doubles as the mutator: warm-path deltas only,
              so the resident handle stays hot across the run *)
-          acc.c_mutations <- acc.c_mutations + 1;
           let cluster = Prng.int rng ~lo:0 ~hi:(k - 1) in
           let factor = Prng.float rng ~lo:0.5 ~hi:1.0 in
           P.Mutate
@@ -141,16 +122,7 @@ let run ?(mode = Closed) ?(budget_ms = 2000.0) ?(timeout = 10.0)
           in
           P.Get_schedule { objective; budget_ms = Some budget_ms }
       in
-      round_trip ~timeout fd_ref buf addr req acc;
-      match mode with
-      | Closed -> ()
-      | Open_loop think_s ->
-        (* exponential think time: the memoryless arrival process of
-           an open-loop client population *)
-        let u = Prng.float rng ~lo:1e-9 ~hi:1.0 in
-        let pause = -.think_s *. log u in
-        let pause = Float.min pause (deadline -. Unix.gettimeofday ()) in
-        if pause > 0.0 then Thread.delay pause
+      round_trip ~timeout fd_ref buf addr req acc
     done;
     (match !fd_ref with
     | Some fd -> (try Unix.close fd with _ -> ())
@@ -159,46 +131,14 @@ let run ?(mode = Closed) ?(budget_ms = 2000.0) ?(timeout = 10.0)
     accs := acc :: !accs;
     Mutex.unlock agg_lock
   in
-  let t0 = Unix.gettimeofday () in
   let threads = List.init clients (fun i -> Thread.create (client i) ()) in
   List.iter Thread.join threads;
-  let wall_s = Unix.gettimeofday () -. t0 in
   let accs = !accs in
   let sum f = List.fold_left (fun a c -> a + f c) 0 accs in
   let latencies =
     Array.of_list (List.concat_map (fun c -> c.c_lat) accs)
   in
   Array.sort compare latencies;
-  {
-    sent = sum (fun c -> c.c_sent);
-    ok = sum (fun c -> c.c_ok);
-    overloaded = sum (fun c -> c.c_overloaded);
-    errors = sum (fun c -> c.c_errors);
-    mutations = sum (fun c -> c.c_mutations);
-    wall_s;
-    latencies;
-  }
+  { ok = sum (fun c -> c.c_ok); errors = sum (fun c -> c.c_errors); latencies }
 
-let rps t = if t.wall_s > 0.0 then float_of_int t.ok /. t.wall_s else 0.0
-
-let shed_rate t =
-  if t.sent = 0 then 0.0
-  else float_of_int t.overloaded /. float_of_int t.sent
-
-let p50 t = percentile t.latencies 0.50
 let p99 t = percentile t.latencies 0.99
-
-let to_json ?(extra = []) t =
-  J.Obj
-    ([ ("sent", J.Num (float_of_int t.sent));
-       ("ok", J.Num (float_of_int t.ok));
-       ("overloaded", J.Num (float_of_int t.overloaded));
-       ("errors", J.Num (float_of_int t.errors));
-       ("mutations", J.Num (float_of_int t.mutations));
-       ("wall_s", J.Num t.wall_s);
-       ("rps", J.Num (rps t));
-       ("shed_rate", J.Num (shed_rate t));
-       ("p50_ms", J.Num (p50 t *. 1e3));
-       ("p99_ms", J.Num (p99 t *. 1e3));
-     ]
-    @ extra)

@@ -326,8 +326,8 @@ let run ?(policy = Lp_repair) ?(heuristic = Heuristics.LPRG) ?objective
                 (fun fe ->
                   let descr = Format.asprintf "%a" Faults.pp_kind fe.Faults.kind in
                   logf "t=%.17g fault %s\n" t descr;
-                  if Olog.enabled Olog.Warn then
-                    Olog.warn "dyn.fault"
+                  if Olog.enabled Olog.Info then
+                    Olog.info "dyn.fault"
                       ~fields:[ ("sim_t", Olog.Float t); ("fault", Olog.Str descr) ];
                   if Flight.enabled () then
                     Flight.record ~kind:"fault" descr

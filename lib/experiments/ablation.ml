@@ -1,6 +1,7 @@
 module Prng = Dls_util.Prng
 module Stats = Dls_util.Stats
 module Gen = Dls_platform.Generator
+module Olog = Dls_obs.Log
 open Dls_core
 
 let eps = 1e-9
@@ -90,7 +91,10 @@ let network_tight ?(seed = 7) ?(ks = [ 5; 10; 15; 20 ]) ?(per_k = 5) () =
         let platform = Gen.generate rng (tight_params k) in
         let problem = Measure.assign_workload rng platform in
         match Measure.evaluate problem with
-        | Error msg -> Logs.warn (fun m -> m "ablation: skipping platform: %s" msg)
+        | Error msg ->
+          if Olog.enabled Olog.Warn then
+            Olog.warn "ablation.platform.skipped"
+              ~fields:[ ("k", Olog.Int k); ("reason", Olog.Str msg) ]
         | Ok v ->
           if v.Measure.lp_sum > eps && v.Measure.lp_maxmin > eps then begin
             incr used;

@@ -145,8 +145,8 @@ val run :
       order (replayed first, then new entries in evaluation order —
       index order within a shard).
 
-    Progress (records/s, ETA) is reported through [Logs] at info level
-    roughly every two seconds.  Errors (config/manifest mismatch,
+    Progress (records/s, ETA) is an [engine.progress] {!Dls_obs.Log}
+    record at info level, roughly every two seconds.  Errors (config/manifest mismatch,
     corrupt log, invalid sharding) return [Error]; exceptions raised by
     the evaluation itself propagate after the worker pool has joined,
     and the log remains valid for a later [resume]. *)

@@ -61,10 +61,12 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
       let* () = spec.check_manifest ~path in
       let* entries, valid_len = load_log ~of_line:spec.of_line ~path in
       let dropped = Dls_util.Wal.truncate_torn ~path ~valid_len in
-      if dropped > 0 then
-        Logs.warn (fun m ->
-            m "%s: dropping %d torn trailing bytes of %s" spec.log_label
-              dropped path);
+      if dropped > 0 && Olog.enabled Olog.Warn then
+        Olog.warn "engine.torn_tail"
+          ~fields:
+            [ ("experiment", Olog.Str spec.log_label);
+              ("path", Olog.Str path);
+              ("dropped_bytes", Olog.Int dropped) ];
       let* entries =
         List.fold_left
           (fun acc e ->
@@ -168,9 +170,7 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
           ~fields:
             [ ("experiment", Olog.Str spec.log_label);
               ("index", Olog.Int (spec.index_of e));
-              ("reason", Olog.Str reason) ];
-      Logs.warn (fun m ->
-          m "%s: index %d skipped: %s" spec.log_label (spec.index_of e) reason));
+              ("reason", Olog.Str reason) ]);
     incr evaluated;
     incr since_checkpoint;
     incr logged_total;
@@ -178,14 +178,20 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
   in
   let progress () =
     let now = Unix.gettimeofday () in
-    if now -. !last_progress >= 2.0 && !evaluated > 0 then begin
+    if now -. !last_progress >= 2.0 && !evaluated > 0
+       && Olog.enabled Olog.Info
+    then begin
       last_progress := now;
       let rate = float_of_int !evaluated /. (now -. t0) in
       let remaining = pending_total - !evaluated in
-      Logs.info (fun m ->
-          m "%s: %d/%d evaluated (%.2f records/s, ETA %.0fs)" spec.log_label
-            !evaluated pending_total rate
-            (float_of_int remaining /. Stdlib.max 1e-9 rate))
+      Olog.info "engine.progress"
+        ~fields:
+          [ ("experiment", Olog.Str spec.log_label);
+            ("evaluated", Olog.Int !evaluated);
+            ("pending", Olog.Int pending_total);
+            ("records_per_s", Olog.Float rate);
+            ("eta_s",
+             Olog.Float (float_of_int remaining /. Stdlib.max 1e-9 rate)) ]
     end
   in
   Fun.protect
@@ -245,18 +251,19 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
       (fun (label, samples) -> (label, Array.of_list (List.rev !samples)))
       time_samples
   in
-  if spec.log_time_stats && !evaluated > 0 then
+  if spec.log_time_stats && !evaluated > 0 && Olog.enabled Olog.Info then
     List.iter
       (fun (label, samples) ->
         if Array.length samples > 0 then
-          Logs.info (fun m ->
-              m "%s: %s wall-clock mean %.4fs median %.4fs p95 %.4fs over %d \
-                 records"
-                spec.log_label label
-                (Dls_util.Stats.mean samples)
-                (Dls_util.Stats.median samples)
-                (Dls_util.Stats.percentile samples ~p:95.0)
-                (Array.length samples)))
+          Olog.info "engine.time_stats"
+            ~fields:
+              [ ("experiment", Olog.Str spec.log_label);
+                ("label", Olog.Str label);
+                ("mean_s", Olog.Float (Dls_util.Stats.mean samples));
+                ("median_s", Olog.Float (Dls_util.Stats.median samples));
+                ("p95_s",
+                 Olog.Float (Dls_util.Stats.percentile samples ~p:95.0));
+                ("records", Olog.Int (Array.length samples)) ])
       times;
   Ok
     { s_total = n;

@@ -10,7 +10,10 @@
     format (and its config-mismatch refusal) under its own control. *)
 
 type 'e spec = {
-  log_label : string;  (** prefix of [Logs] messages, e.g. ["campaign"] *)
+  log_label : string;
+      (** names the experiment: the [experiment] field of its
+          {!Dls_obs.Log} records and the prefix of its metrics, e.g.
+          ["campaign"] *)
   total : int;  (** size of the index space; indices are [0 .. total-1] *)
   index_of : 'e -> int;
   to_line : 'e -> string;  (** one JSONL line, no trailing newline *)
@@ -19,8 +22,9 @@ type 'e spec = {
       (** evaluate one index from scratch; must be a pure function of
           the index (up to wall-clock fields) for resume to be sound *)
   skip_reason : 'e -> string option;
-      (** [Some reason] marks the entry as a skip (warned, counted
-          separately); [None] marks a successful record *)
+      (** [Some reason] marks the entry as a skip (one
+          [engine.entry.skipped] warn record, counted separately);
+          [None] marks a successful record *)
   entry_times : 'e -> (string * float) list;
       (** labelled wall-clock samples to accumulate into
           {!summary.s_times} (empty for skips) *)

@@ -17,8 +17,8 @@ let run ?(seed = 12) ?(ks = [ 5; 15; 25; 35; 45; 55 ]) ?(per_k = 5)
     Campaign.run
       ~on_entry:(function
         | Campaign.Record r -> on_record r
-        | Campaign.Skipped { index; reason } ->
-          Logs.warn (fun m -> m "sweep: platform %d skipped: %s" index reason))
+        (* [Engine] logs every skip once, as [engine.entry.skipped]. *)
+        | Campaign.Skipped _ -> ())
       config
   with
   | Ok s -> (s.Campaign.s_completed, s.Campaign.s_skipped)

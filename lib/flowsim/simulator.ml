@@ -193,10 +193,10 @@ let run ?(periods = 20) ?(warmup = 2) ?latency ?faults
       Trace.instant ~cat:"sim" "sim.fault";
       List.iter
         (fun fe ->
-          if Olog.enabled Olog.Warn || Flight.enabled () then begin
+          if Olog.enabled Olog.Info || Flight.enabled () then begin
             let descr = Format.asprintf "%a" Faults.pp_kind fe.Faults.kind in
-            if Olog.enabled Olog.Warn then
-              Olog.warn "sim.fault"
+            if Olog.enabled Olog.Info then
+              Olog.info "sim.fault"
                 ~fields:[ ("sim_t", Olog.Float now); ("fault", Olog.Str descr) ];
             if Flight.enabled () then
               Flight.record ~kind:"fault" descr

@@ -30,9 +30,7 @@ let zero_counters =
   { solves = 0; warm_starts = 0; cold_starts = 0; pivots = 0;
     reinversions = 0; bland_activations = 0; wall_clock = 0.0 }
 
-let src = Logs.Src.create "dls.lp.revised" ~doc:"Sparse revised simplex"
-
-module Log = (val Logs.src_log src : Logs.LOG)
+module Olog = Dls_obs.Log
 
 (* Registry metrics: cross-state totals, alongside the per-state [ctr]
    record that the campaign codec and warm-start tests rely on.  The
@@ -485,10 +483,11 @@ let optimize ?max_iterations st =
                 { st.ctr with
                   bland_activations = st.ctr.bland_activations + 1 };
               M.incr m_bland_activations;
-              Log.debug (fun m ->
-                  m "solve #%d: degenerate stall after %d pivots, \
-                     switching to Bland's rule"
-                    st.ctr.solves !iterations)
+              if Olog.enabled Olog.Debug then
+                Olog.debug "lp.bland"
+                  ~fields:
+                    [ ("solve", Olog.Int st.ctr.solves);
+                      ("pivots", Olog.Int !iterations) ]
             end
           end
         end
@@ -551,13 +550,15 @@ let solve_state ?max_iterations st =
       ~args:
         [ ("start", if warm then "warm" else "cold");
           ("pivots", string_of_int iterations) ];
-  Log.debug (fun m ->
-      m "solve #%d (%s): %d pivots, %d reinversions, %.3f ms"
-        st.ctr.solves
-        (if warm then "warm" else "cold")
-        iterations
-        (st.ctr.reinversions - before.reinversions)
-        (1e3 *. dt));
+  if Olog.enabled Olog.Debug then
+    Olog.debug "lp.solve"
+      ~fields:
+        [ ("solve", Olog.Int st.ctr.solves);
+          ("start", Olog.Str (if warm then "warm" else "cold"));
+          ("pivots", Olog.Int iterations);
+          ("reinversions",
+           Olog.Int (st.ctr.reinversions - before.reinversions));
+          ("ms", Olog.Float (1e3 *. dt)) ];
   { status; objective; values; duals; iterations }
 
 let solve ?max_iterations problem = solve_state ?max_iterations (create problem)

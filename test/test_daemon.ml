@@ -409,7 +409,24 @@ let prop_wal_prefix_replays =
             | Ok () -> ()
             | Error e -> Alcotest.failf "model apply: %s" e)
         mutations;
-      match D.Journal.open_ ~path:path2 ~platform:pf with
+      let opened, records =
+        Log_capture.records (fun () -> D.Journal.open_ ~path:path2 ~platform:pf)
+      in
+      (* A dropped tail is reported by exactly one warn record naming
+         its byte count; an intact log by none. *)
+      let warns =
+        List.filter (fun r -> Log_capture.str "level" r = Some "warn") records
+      in
+      let expected_warns =
+        if torn = "" then []
+        else [ (Some "daemon.journal.torn_tail", Some (String.length torn)) ]
+      in
+      List.map
+        (fun r -> (Log_capture.str "msg" r, Log_capture.int "dropped_bytes" r))
+        warns
+      = expected_warns
+      &&
+      match opened with
       | Error e -> Alcotest.failf "prefix replay failed: %s" e
       | Ok (state, journal) ->
         D.Journal.close journal;

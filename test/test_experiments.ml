@@ -388,6 +388,61 @@ let test_campaign_corrupt_middle_rejected () =
    | Ok _ -> Alcotest.fail "resume accepted a corrupt mid-log entry");
   List.iter Sys.remove [ out; C.manifest_path out ]
 
+(* The engine reports on the structured log, once per event: a skipped
+   entry is one [engine.entry.skipped] record (and is not reported
+   again when a resume replays it), and a torn tail dropped on resume
+   is one warn record carrying the dropped byte count.  A toy spec
+   (entries are their indices; index 3 is skipped) keeps it exact. *)
+let test_engine_log_records () =
+  let spec =
+    { E.Engine.log_label = "toy";
+      total = 6;
+      index_of = Fun.id;
+      to_line = Printf.sprintf "{\"i\":%d}";
+      of_line =
+        (fun l ->
+          Result.bind (Dls_util.Json.of_string l) (fun j ->
+              match Dls_util.Json.member "i" j with
+              | Some v -> Dls_util.Json.to_int v
+              | None -> Error "no index"));
+      evaluate = Fun.id;
+      skip_reason = (fun i -> if i = 3 then Some "toy skip" else None);
+      entry_times = (fun _ -> []);
+      time_labels = [];
+      log_time_stats = false;
+      write_manifest = (fun ~out:_ ~completed:_ -> ());
+      check_manifest = (fun ~path:_ -> Ok ()) }
+  in
+  let out = Filename.temp_file "dls_engine" ".jsonl" in
+  let run ~resume =
+    match E.Engine.run ~domains:1 ~resume ~out spec with
+    | Ok s -> s
+    | Error msg -> Alcotest.failf "engine run: %s" msg
+  in
+  let s, records = Log_capture.records (fun () -> run ~resume:false) in
+  Alcotest.(check int) "one skip counted" 1 s.E.Engine.s_skipped;
+  (match
+     Log_capture.find ~level:"warn" ~msg:"engine.entry.skipped" records
+   with
+  | [ r ] ->
+    Alcotest.(check (option int)) "names the index" (Some 3)
+      (Log_capture.int "index" r)
+  | rs -> Alcotest.failf "%d skip records, want 1" (List.length rs));
+  let torn = "{\"i\":7" in
+  Out_channel.with_open_gen [ Open_wronly; Open_append ] 0o644 out (fun oc ->
+      Out_channel.output_string oc torn);
+  let s, records = Log_capture.records (fun () -> run ~resume:true) in
+  Alcotest.(check int) "all replayed" 6 s.E.Engine.s_replayed;
+  (match List.filter (fun r -> Log_capture.str "level" r = Some "warn") records with
+  | [ r ] ->
+    Alcotest.(check (option string)) "torn-tail record" (Some "engine.torn_tail")
+      (Log_capture.str "msg" r);
+    Alcotest.(check (option int)) "names the dropped bytes"
+      (Some (String.length torn))
+      (Log_capture.int "dropped_bytes" r)
+  | rs -> Alcotest.failf "%d warn records on resume, want 1" (List.length rs));
+  Sys.remove out
+
 (* --- QCheck codecs ------------------------------------------------- *)
 
 let gen_finite = QCheck2.Gen.float_range (-1e9) 1e9
@@ -595,7 +650,9 @@ let () =
           Alcotest.test_case "resume rejects config mismatch" `Quick
             test_campaign_resume_rejects_mismatch;
           Alcotest.test_case "corrupt mid-log rejected" `Quick
-            test_campaign_corrupt_middle_rejected ] );
+            test_campaign_corrupt_middle_rejected;
+          Alcotest.test_case "engine logs skips and torn tails once" `Quick
+            test_engine_log_records ] );
       ( "campaign-codec-prop",
         List.map QCheck_alcotest.to_alcotest
           [ prop_entry_roundtrip; prop_entry_rejects_torn;
