@@ -36,68 +36,7 @@ let reproduction () =
     (E.Ablation.workload_table (E.Ablation.workload ~per_setting:2 ()))
 
 (* ------------------------------------------------------------------ *)
-(* Part 1b: warm- vs cold-started LPRR (wall clock + solver counters)  *)
-(* ------------------------------------------------------------------ *)
-
-(* Same platform, same coin stream (copied rng): both paths run the
-   same K^2-solve workload; only the solver strategy differs (carry the
-   basis vs rebuild from scratch).  Degenerate MAXMIN optima mean the
-   random trajectories can still drift, so this compares workloads, not
-   bit-identical solve sequences. *)
-let lprr_warm_vs_cold ?(seed = 42) ?(ks = [ 15; 20; 25 ]) ?(per_k = 2) () =
-  Format.printf
-    "=== LPRR warm- vs cold-started LP re-solves (same coins) ===@.@.";
-  Format.printf "%-4s %-10s %-10s %-8s %-8s %-8s %-8s %-8s@." "K" "warm-s"
-    "cold-s" "speedup" "pivots" "reinv" "warm#" "solves";
-  let rng = Prng.create ~seed in
-  List.iter
-    (fun k ->
-      let tw = ref 0.0 and tc = ref 0.0 and used = ref 0 in
-      let pivots = ref 0 and reinv = ref 0 in
-      let warm_n = ref 0 and solves = ref 0 in
-      for _ = 1 to per_k do
-        let p = E.Measure.sample_problem rng ~k in
-        let coins = Prng.split rng in
-        let warm_run, dtw =
-          E.Measure.time (fun () ->
-              Lprr.solve ~warm:true ~objective:Lp_relax.Maxmin
-                ~rng:(Prng.copy coins) p)
-        in
-        let cold_run, dtc =
-          E.Measure.time (fun () ->
-              Lprr.solve ~warm:false ~objective:Lp_relax.Maxmin
-                ~rng:(Prng.copy coins) p)
-        in
-        match (warm_run, cold_run) with
-        | Ok w, Ok _ ->
-          incr used;
-          tw := !tw +. dtw;
-          tc := !tc +. dtc;
-          (match w.Lprr.counters with
-           | Some c ->
-             pivots := !pivots + c.Dls_lp.Revised_simplex.pivots;
-             reinv := !reinv + c.Dls_lp.Revised_simplex.reinversions;
-             warm_n := !warm_n + c.Dls_lp.Revised_simplex.warm_starts;
-             solves := !solves + c.Dls_lp.Revised_simplex.solves
-           | None -> ())
-        | _ -> ()
-      done;
-      if !used > 0 then begin
-        let n = float_of_int !used in
-        Format.printf "%-4d %-10.3f %-10.3f %-8.2f %-8.0f %-8.0f %-8.0f %-8.0f@."
-          k (!tw /. n) (!tc /. n)
-          (!tc /. Float.max 1e-12 !tw)
-          (float_of_int !pivots /. n)
-          (float_of_int !reinv /. n)
-          (float_of_int !warm_n /. n)
-          (float_of_int !solves /. n)
-      end
-      else Format.printf "%-4d (no feasible platforms)@." k)
-    ks;
-  Format.printf "@."
-
-(* ------------------------------------------------------------------ *)
-(* Part 1b': LP core scaling                                          *)
+(* Part 1b: LP core scaling                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* One MAXMIN relaxation per K through the eta-file revised simplex.
@@ -351,12 +290,9 @@ let fig6_tests =
   let p8 = problem_of ~seed:103 ~k:8 in
   let rng = Prng.create ~seed:104 in
   Test.make_grouped ~name:"fig6"
-    [ Test.make ~name:"lprr/warm-k8"
+    [ Test.make ~name:"lprr-k8"
         (Staged.stage (fun () ->
-             ignore (Lprr.solve ~warm:true ~objective:Lp_relax.Maxmin ~rng p8)));
-      Test.make ~name:"lprr/cold-k8"
-        (Staged.stage (fun () ->
-             ignore (Lprr.solve ~warm:false ~objective:Lp_relax.Maxmin ~rng p8)));
+             ignore (Lprr.solve ~objective:Lp_relax.Maxmin ~rng p8)));
       Test.make ~name:"lprr-equal-prob-k8"
         (Staged.stage (fun () ->
              ignore (Lprr.solve_equal_probability ~objective:Lp_relax.Maxmin ~rng p8))) ]
@@ -492,13 +428,12 @@ let run_benchmarks () =
         (List.sort compare names))
     groups
 
-(* --quick: the smoke-alias entry point — a tiny fig6 run plus a small
-   warm-vs-cold series, skipping the bechamel sweeps. *)
+(* --quick: the smoke-alias entry point — a tiny fig6 run and small LP
+   scaling and daemon series, skipping the bechamel sweeps. *)
 let quick () =
   Format.printf "=== Quick smoke run ===@.@.";
   Format.printf "%a@." E.Report.pp_table
     (E.Fig6.table (E.Fig6.run ~ks:[ 6 ] ~per_k:1 ()));
-  lprr_warm_vs_cold ~ks:[ 8 ] ~per_k:1 ();
   lp_scale_series ~ks:[ 25 ] ();
   daemon_series ~ks:[ 6 ] ();
   Format.printf "done.@."
@@ -519,7 +454,7 @@ let flag_value name =
 (* Every accepted argument, checked before anything runs: a mistyped
    flag must not fall through to the full multi-minute suite. *)
 let mode_flags =
-  [ "--quick"; "--warm"; "--lp-scale"; "--campaign"; "--resilience";
+  [ "--quick"; "--lp-scale"; "--campaign"; "--resilience";
     "--dynsim"; "--daemon" ]
 
 let value_flags =
@@ -567,9 +502,6 @@ let () =
       ?publish ();
     at_exit Dls_obs.Obs.finalize);
   if Array.exists (String.equal "--quick") Sys.argv then quick ()
-  else if Array.exists (String.equal "--warm") Sys.argv then
-    (* Just the warm-vs-cold LPRR acceptance series. *)
-    lprr_warm_vs_cold ()
   else if Array.exists (String.equal "--lp-scale") Sys.argv then
     (* Just the LP core scaling series. *)
     lp_scale_series ()
@@ -587,7 +519,6 @@ let () =
     daemon_series ()
   else begin
     reproduction ();
-    lprr_warm_vs_cold ();
     lp_scale_series ();
     campaign_throughput ();
     resilience_series ();

@@ -33,168 +33,223 @@ module Encode (F : Dls_lp.Field.S) = struct
   (* Variable layout: one alpha variable per admissible (k, l) pair —
      always (k, k) for active k; (k, l) when a route exists — plus, for
      MAXMIN, one auxiliary variable t with rows t <= pi_k * alpha_k.
-     [solver] lets the float instance route the model to the packed-form
-     revised simplex. *)
-  let solve ?solver ?(objective = Maxmin) ?(fixed = []) ?max_iterations problem =
-    let solve_model = match solver with Some f -> f | None -> M.solve in
+     Each capacity row's index is kept (-1 when the row is not
+     emitted), so the incremental handle can edit it in place. *)
+  type layout = {
+    kk : int;
+    vars : M.var option array array;
+    bottleneck : float array array;  (* route bottleneck g_{k,l} *)
+    compute_row : int array;  (* 7b row per cluster *)
+    local_row : int array;  (* 7c row per cluster *)
+    link_row : int array;  (* 7d row per backbone link *)
+  }
+
+  let zero_solution kk =
+    { alpha = Array.make_matrix kk kk F.zero;
+      beta = Array.make_matrix kk kk F.zero;
+      objective_value = F.zero;
+      iterations = 0 }
+
+  (* The variables, then rows 7b, 7c and 7d in that order.  [pinned]
+     maps a remote pair to its fixed connection count.  [Error] when the
+     pins overfill a backbone link. *)
+  let capacity_rows m problem ~pinned =
     let p = Problem.platform problem in
     let kk = P.num_clusters p in
-    let active = Problem.active problem in
-    let zero_solution () =
-      { alpha = Array.make_matrix kk kk F.zero;
-        beta = Array.make_matrix kk kk F.zero;
-        objective_value = F.zero;
-        iterations = 0 }
+    let vars = Array.make_matrix kk kk None in
+    let bottleneck = Array.make_matrix kk kk infinity in
+    let add_row terms rhs =
+      if terms = [] then -1
+      else begin
+        let row = M.num_constraints m in
+        M.add_le m terms rhs;
+        row
+      end
     in
-    if active = [] then Solution (zero_solution ())
+    List.iter
+      (fun k ->
+        for l = 0 to kk - 1 do
+          let admissible =
+            if l = k then true
+            else (
+              match P.route p k l with Some _ -> true | None -> false)
+          in
+          if admissible then begin
+            let v = M.add_var ~name:(Printf.sprintf "a_%d_%d" k l) m in
+            vars.(k).(l) <- Some v;
+            if l <> k then begin
+              match P.route_bottleneck p k l with
+              | Some bw -> bottleneck.(k).(l) <- bw
+              | None -> assert false
+            end
+          end
+        done)
+      (Problem.active problem);
+    (* Pinned pairs: alpha <= v * g as an upper bound. *)
+    Hashtbl.iter
+      (fun (k, l) v ->
+        match vars.(k).(l) with
+        | Some var when k <> l && Float.is_finite bottleneck.(k).(l) ->
+          M.set_upper_bound m var
+            (F.mul (F.of_int v) (F.of_float bottleneck.(k).(l)))
+        | Some _ | None ->
+          invalid_arg "Lp_relax: fixed beta on a pair without a backbone route")
+      pinned;
+    (* Equation 7b: per-cluster compute capacity. *)
+    let compute_row =
+      Array.init kk (fun l ->
+          let terms = ref [] in
+          for k = 0 to kk - 1 do
+            match vars.(k).(l) with
+            | Some v -> terms := (v, F.one) :: !terms
+            | None -> ()
+          done;
+          add_row !terms (F.of_float (P.speed p l)))
+    in
+    (* Equation 7c: per-cluster local link, outgoing plus incoming. *)
+    let local_row =
+      Array.init kk (fun k ->
+          let terms = ref [] in
+          for l = 0 to kk - 1 do
+            if l <> k then begin
+              (match vars.(k).(l) with
+               | Some v -> terms := (v, F.one) :: !terms
+               | None -> ());
+              match vars.(l).(k) with
+              | Some v -> terms := (v, F.one) :: !terms
+              | None -> ()
+            end
+          done;
+          add_row !terms (F.of_float (P.local_bw p k)))
+    in
+    (* Equation 7d with betas eliminated: each unpinned crossing pair
+       charges alpha/g slots; each pinned pair charges the constant v. *)
+    let infeasible = ref None in
+    let link_row =
+      Array.init (P.num_backbones p) (fun link ->
+          let terms = ref [] in
+          let rhs = ref (F.of_int (P.backbone p link).P.max_connect) in
+          List.iter
+            (fun (k, l) ->
+              match vars.(k).(l) with
+              | None -> ()
+              | Some v -> begin
+                match Hashtbl.find_opt pinned (k, l) with
+                | Some fixed_v -> rhs := F.sub !rhs (F.of_int fixed_v)
+                | None ->
+                  let g = bottleneck.(k).(l) in
+                  terms := (v, F.div F.one (F.of_float g)) :: !terms
+              end)
+            (P.routes_through p link);
+          if F.compare !rhs F.zero < 0 then begin
+            infeasible :=
+              Some (Printf.sprintf "pinned connections exceed backbone %d" link);
+            -1
+          end
+          else add_row !terms !rhs)
+    in
+    match !infeasible with
+    | Some msg -> Error msg
+    | None -> Ok { kk; vars; bottleneck; compute_row; local_row; link_row }
+
+  (* Objective.  MAXMIN's rows come after every row added so far. *)
+  let set_objective m layout problem objective =
+    let active = Problem.active problem in
+    let alpha_terms k =
+      List.filter_map
+        (fun l -> Option.map (fun v -> (v, F.one)) layout.vars.(k).(l))
+        (List.init layout.kk Fun.id)
+    in
+    match objective with
+    | Sum ->
+      let terms =
+        List.concat_map
+          (fun k ->
+            let pi = F.of_float (Problem.payoff problem k) in
+            List.map (fun (v, _) -> (v, pi)) (alpha_terms k))
+          active
+      in
+      M.set_objective m terms
+    | Maxmin ->
+      let t = M.add_var ~name:"t" m in
+      List.iter
+        (fun k ->
+          let pi = F.of_float (Problem.payoff problem k) in
+          let row =
+            (t, F.one) :: List.map (fun (v, _) -> (v, F.neg pi)) (alpha_terms k)
+          in
+          M.add_le m row F.zero)
+        active;
+      M.set_objective m [ (t, F.one) ]
+
+  (* The cold model under [fixed]: [Error] carries the outcome when no
+     solve is needed (no active application, or overfull pins). *)
+  let encode ?(objective = Maxmin) ?(fixed = []) problem =
+    if Problem.active problem = [] then
+      Error (Solution (zero_solution (Problem.num_clusters problem)))
     else begin
-      let fixed_tbl = Hashtbl.create 16 in
+      let pinned = Hashtbl.create 16 in
       List.iter
         (fun ((k, l), v) ->
           if v < 0 then invalid_arg "Lp_relax: negative fixed beta";
-          Hashtbl.replace fixed_tbl (k, l) v)
+          Hashtbl.replace pinned (k, l) v)
         fixed;
       let m = M.create () in
-      let vars = Array.make_matrix kk kk None in
-      let bottleneck = Array.make_matrix kk kk infinity in
-      List.iter
-        (fun k ->
-          for l = 0 to kk - 1 do
-            let admissible =
-              if l = k then true
-              else (
-                match P.route p k l with Some _ -> true | None -> false)
-            in
-            if admissible then begin
-              let v = M.add_var ~name:(Printf.sprintf "a_%d_%d" k l) m in
-              vars.(k).(l) <- Some v;
-              if l <> k then begin
-                match P.route_bottleneck p k l with
-                | Some bw -> bottleneck.(k).(l) <- bw
-                | None -> assert false
-              end
-            end
-          done)
-        active;
-      (* Pinned pairs: alpha <= v * g as an upper bound. *)
-      Hashtbl.iter
-        (fun (k, l) v ->
-          match vars.(k).(l) with
-          | Some var when k <> l && Float.is_finite bottleneck.(k).(l) ->
-            M.set_upper_bound m var
-              (F.mul (F.of_int v) (F.of_float bottleneck.(k).(l)))
-          | Some _ | None ->
-            invalid_arg "Lp_relax: fixed beta on a pair without a backbone route")
-        fixed_tbl;
-      (* Equation 7b: per-cluster compute capacity. *)
-      for l = 0 to kk - 1 do
-        let terms = ref [] in
-        for k = 0 to kk - 1 do
-          match vars.(k).(l) with
-          | Some v -> terms := (v, F.one) :: !terms
-          | None -> ()
-        done;
-        if !terms <> [] then M.add_le m !terms (F.of_float (P.speed p l))
-      done;
-      (* Equation 7c: per-cluster local link, outgoing plus incoming. *)
-      for k = 0 to kk - 1 do
-        let terms = ref [] in
-        for l = 0 to kk - 1 do
-          if l <> k then begin
-            (match vars.(k).(l) with
-             | Some v -> terms := (v, F.one) :: !terms
-             | None -> ());
-            match vars.(l).(k) with
-            | Some v -> terms := (v, F.one) :: !terms
-            | None -> ()
-          end
-        done;
-        if !terms <> [] then M.add_le m !terms (F.of_float (P.local_bw p k))
-      done;
-      (* Equation 7d with betas eliminated: each unpinned crossing pair
-         charges alpha/g slots; each pinned pair charges the constant v. *)
-      let infeasible = ref None in
-      for link = 0 to P.num_backbones p - 1 do
-        let terms = ref [] in
-        let rhs = ref (F.of_int (P.backbone p link).P.max_connect) in
-        List.iter
-          (fun (k, l) ->
-            match vars.(k).(l) with
-            | None -> ()
-            | Some v -> begin
-              match Hashtbl.find_opt fixed_tbl (k, l) with
-              | Some fixed_v -> rhs := F.sub !rhs (F.of_int fixed_v)
-              | None ->
-                let g = bottleneck.(k).(l) in
-                terms := (v, F.div F.one (F.of_float g)) :: !terms
-            end)
-          (P.routes_through p link);
-        if F.compare !rhs F.zero < 0 then
-          infeasible := Some (Printf.sprintf "pinned connections exceed backbone %d" link)
-        else if !terms <> [] then M.add_le m !terms !rhs
-      done;
-      match !infeasible with
-      | Some msg -> Failed msg
-      | None ->
-        (* Objective. *)
-        let alpha_terms k =
-          List.filter_map
-            (fun l -> Option.map (fun v -> (v, F.one)) vars.(k).(l))
-            (List.init kk Fun.id)
-        in
-        (match objective with
-         | Sum ->
-           let terms =
-             List.concat_map
-               (fun k ->
-                 let pi = F.of_float (Problem.payoff problem k) in
-                 List.map (fun (v, _) -> (v, pi)) (alpha_terms k))
-               active
-           in
-           M.set_objective m terms
-         | Maxmin ->
-           let t = M.add_var ~name:"t" m in
-           List.iter
-             (fun k ->
-               let pi = F.of_float (Problem.payoff problem k) in
-               let row =
-                 (t, F.one)
-                 :: List.map (fun (v, _) -> (v, F.neg pi)) (alpha_terms k)
-               in
-               M.add_le m row F.zero)
-             active;
-           M.set_objective m [ (t, F.one) ]);
-        let result = solve_model ?max_iterations m in
-        (match result.M.status with
-         | M.Solver.Optimal ->
-           let alpha = Array.make_matrix kk kk F.zero in
-           let beta = Array.make_matrix kk kk F.zero in
-           for k = 0 to kk - 1 do
-             for l = 0 to kk - 1 do
-               match vars.(k).(l) with
-               | None -> ()
-               | Some v ->
-                 let a = result.M.value v in
-                 alpha.(k).(l) <- a;
-                 if k <> l && Float.is_finite bottleneck.(k).(l) then begin
-                   match Hashtbl.find_opt fixed_tbl (k, l) with
-                   | Some fv -> beta.(k).(l) <- F.of_int fv
-                   | None -> beta.(k).(l) <- F.div a (F.of_float bottleneck.(k).(l))
-                 end
-             done
-           done;
-           Solution
-             { alpha; beta;
-               objective_value = result.M.objective;
-               iterations = result.M.iterations }
-         | M.Solver.Infeasible -> Failed "LP infeasible"
-         | M.Solver.Unbounded -> Failed "LP unbounded (malformed problem)"
-         | M.Solver.Iteration_limit -> Failed "simplex iteration budget exhausted")
+      match capacity_rows m problem ~pinned with
+      | Error msg -> Error (Failed msg)
+      | Ok layout ->
+        set_objective m layout problem objective;
+        Ok (m, layout, pinned)
     end
+
+  (* Alpha from the solver's values; beta is the pinned count, or
+     alpha/g on an unpinned remote pair. *)
+  let extract layout ~pinned (result : M.result) =
+    match result.M.status with
+    | M.Solver.Optimal ->
+      let kk = layout.kk in
+      let alpha = Array.make_matrix kk kk F.zero in
+      let beta = Array.make_matrix kk kk F.zero in
+      for k = 0 to kk - 1 do
+        for l = 0 to kk - 1 do
+          match layout.vars.(k).(l) with
+          | None -> ()
+          | Some v ->
+            let a = result.M.value v in
+            alpha.(k).(l) <- a;
+            let g = layout.bottleneck.(k).(l) in
+            if k <> l && Float.is_finite g then begin
+              match Hashtbl.find_opt pinned (k, l) with
+              | Some fv -> beta.(k).(l) <- F.of_int fv
+              | None -> beta.(k).(l) <- F.div a (F.of_float g)
+            end
+        done
+      done;
+      Solution
+        { alpha; beta;
+          objective_value = result.M.objective;
+          iterations = result.M.iterations }
+    | M.Solver.Infeasible -> Failed "LP infeasible"
+    | M.Solver.Unbounded -> Failed "LP unbounded (malformed problem)"
+    | M.Solver.Iteration_limit -> Failed "simplex iteration budget exhausted"
 end
 
 module Float_encoder = Encode (Dls_lp.Field.Float)
 module Exact_encoder = Encode (Dls_lp.Field.Exact)
+
+let solve ?objective ?fixed ?max_iterations problem =
+  match Float_encoder.encode ?objective ?fixed problem with
+  | Error outcome -> outcome
+  | Ok (m, layout, pinned) ->
+    Float_encoder.extract layout ~pinned
+      (Dls_lp.Model.Float.solve_packed ?max_iterations m)
+
+let solve_exact ?objective ?fixed ?max_iterations problem =
+  match Exact_encoder.encode ?objective ?fixed problem with
+  | Error outcome -> outcome
+  | Ok (m, layout, pinned) ->
+    Exact_encoder.extract layout ~pinned
+      (Exact_encoder.M.solve ?max_iterations m)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental (warm-started) float path                               *)
@@ -209,31 +264,25 @@ module Exact_encoder = Encode (Dls_lp.Field.Exact)
    [v].  The matrix layout never changes, so each re-solve warm-starts
    from the previous optimal basis.
 
-   One encoding difference from the cold path: every remote pair gets
-   an explicit bound row [alpha_{k,l} <= g_{k,l} * min max-connect over
-   the route] up front.  Before the pair is pinned the row is redundant
-   (implied by the link rows), so the relaxation is unchanged; pinning
-   then only tightens its right-hand side. *)
+   The model is the cold path's, built by the same encoder, plus one
+   explicit bound row per remote pair, [alpha_{k,l} <= g_{k,l} * min
+   max-connect over the route], between the 7d rows and the MAXMIN
+   rows.  Before the pair is pinned the row is redundant (implied by
+   the link rows), so the relaxation is unchanged; pinning then only
+   tightens its right-hand side. *)
 module Incremental = struct
   module M = Dls_lp.Model.Float
   module Rs = Dls_lp.Revised_simplex
 
   type pair_info = {
-    var : M.var;
-    g : float;  (* route bottleneck g_{k,l} *)
     links : int list;  (* deduplicated backbone ids of the route *)
     bound_row : int;
   }
 
   type handle = {
-    kk : int;
+    layout : Float_encoder.layout;  (* variables and capacity rows *)
     inc : M.incremental option;  (* None when no application is active *)
-    vars : M.var option array array;
-    bottleneck : float array array;
     pairs : (int * int, pair_info) Hashtbl.t;
-    link_row : int array;  (* -1 when the backbone link has no row *)
-    compute_row : int array;  (* 7b row per cluster; -1 when absent *)
-    local_row : int array;  (* 7c row per cluster; -1 when absent *)
     cap_now : float array;  (* current per-link connection cap *)
     pin_charge : float array;  (* pinned slots already charged per link *)
     pinned : (int * int, int) Hashtbl.t;
@@ -241,96 +290,28 @@ module Incremental = struct
 
   let create ?(objective = Maxmin) problem =
     let p = Problem.platform problem in
-    let kk = P.num_clusters p in
-    let active = Problem.active problem in
-    let vars = Array.make_matrix kk kk None in
-    let bottleneck = Array.make_matrix kk kk infinity in
     let pairs = Hashtbl.create 64 in
-    let link_row = Array.make (P.num_backbones p) (-1) in
-    let compute_row = Array.make kk (-1) in
-    let local_row = Array.make kk (-1) in
     let cap_now =
       Array.init (P.num_backbones p) (fun link ->
           float_of_int (P.backbone p link).P.max_connect)
     in
     let pin_charge = Array.make (P.num_backbones p) 0.0 in
     let pinned = Hashtbl.create 64 in
-    if active = [] then
-      { kk; inc = None; vars; bottleneck; pairs; link_row; compute_row;
-        local_row; cap_now; pin_charge; pinned }
+    let m = M.create () in
+    let layout =
+      match Float_encoder.capacity_rows m problem ~pinned with
+      | Ok layout -> layout
+      | Error _ -> assert false (* nothing is pinned yet *)
+    in
+    let handle inc = { layout; inc; pairs; cap_now; pin_charge; pinned } in
+    if Problem.active problem = [] then handle None
     else begin
-      let m = M.create () in
-      List.iter
-        (fun k ->
-          for l = 0 to kk - 1 do
-            let admissible =
-              if l = k then true
-              else (match P.route p k l with Some _ -> true | None -> false)
-            in
-            if admissible then begin
-              let v = M.add_var ~name:(Printf.sprintf "a_%d_%d" k l) m in
-              vars.(k).(l) <- Some v;
-              if l <> k then begin
-                match P.route_bottleneck p k l with
-                | Some bw -> bottleneck.(k).(l) <- bw
-                | None -> assert false
-              end
-            end
-          done)
-        active;
-      (* Equation 7b: per-cluster compute capacity. *)
-      for l = 0 to kk - 1 do
-        let terms = ref [] in
-        for k = 0 to kk - 1 do
-          match vars.(k).(l) with
-          | Some v -> terms := (v, 1.0) :: !terms
-          | None -> ()
-        done;
-        if !terms <> [] then begin
-          compute_row.(l) <- M.num_constraints m;
-          M.add_le m !terms (P.speed p l)
-        end
-      done;
-      (* Equation 7c: per-cluster local link, outgoing plus incoming. *)
-      for k = 0 to kk - 1 do
-        let terms = ref [] in
-        for l = 0 to kk - 1 do
-          if l <> k then begin
-            (match vars.(k).(l) with
-             | Some v -> terms := (v, 1.0) :: !terms
-             | None -> ());
-            match vars.(l).(k) with
-            | Some v -> terms := (v, 1.0) :: !terms
-            | None -> ()
-          end
-        done;
-        if !terms <> [] then begin
-          local_row.(k) <- M.num_constraints m;
-          M.add_le m !terms (P.local_bw p k)
-        end
-      done;
-      (* Equation 7d with betas eliminated: each crossing pair charges
-         alpha/g connection slots. *)
-      for link = 0 to P.num_backbones p - 1 do
-        let terms = ref [] in
-        List.iter
-          (fun (k, l) ->
-            match vars.(k).(l) with
-            | None -> ()
-            | Some v -> terms := (v, 1.0 /. bottleneck.(k).(l)) :: !terms)
-          (P.routes_through p link);
-        if !terms <> [] then begin
-          link_row.(link) <- M.num_constraints m;
-          M.add_le m !terms (float_of_int (P.backbone p link).P.max_connect)
-        end
-      done;
       (* Per-pair bound rows (redundant until the pair is pinned). *)
       List.iter
         (fun (k, l) ->
-          match (vars.(k).(l), P.route p k l) with
+          match (layout.vars.(k).(l), P.route p k l) with
           | Some var, Some (_ :: _ as route) ->
             let links = List.sort_uniq compare route in
-            let g = bottleneck.(k).(l) in
             let min_maxcon =
               List.fold_left
                 (fun acc link ->
@@ -338,39 +319,13 @@ module Incremental = struct
                 max_int links
             in
             let bound_row = M.num_constraints m in
-            M.add_le m [ (var, 1.0) ] (g *. float_of_int min_maxcon);
-            Hashtbl.replace pairs (k, l) { var; g; links; bound_row }
+            M.add_le m [ (var, 1.0) ]
+              (layout.bottleneck.(k).(l) *. float_of_int min_maxcon);
+            Hashtbl.replace pairs (k, l) { links; bound_row }
           | _ -> assert false)
         (remote_pairs problem);
-      (* Objective. *)
-      let alpha_terms k =
-        List.filter_map
-          (fun l -> Option.map (fun v -> (v, 1.0)) vars.(k).(l))
-          (List.init kk Fun.id)
-      in
-      (match objective with
-       | Sum ->
-         let terms =
-           List.concat_map
-             (fun k ->
-               let pi = Problem.payoff problem k in
-               List.map (fun (v, _) -> (v, pi)) (alpha_terms k))
-             active
-         in
-         M.set_objective m terms
-       | Maxmin ->
-         let t = M.add_var ~name:"t" m in
-         List.iter
-           (fun k ->
-             let pi = Problem.payoff problem k in
-             let row =
-               (t, 1.0) :: List.map (fun (v, _) -> (v, -.pi)) (alpha_terms k)
-             in
-             M.add_le m row 0.0)
-           active;
-         M.set_objective m [ (t, 1.0) ]);
-      { kk; inc = Some (M.incremental m); vars; bottleneck; pairs;
-        link_row; compute_row; local_row; cap_now; pin_charge; pinned }
+      Float_encoder.set_objective m layout problem objective;
+      handle (Some (M.incremental m))
     end
 
   let pin h (k, l) v =
@@ -385,8 +340,8 @@ module Incremental = struct
       let overfull =
         List.find_opt
           (fun link ->
-            h.link_row.(link) >= 0
-            && M.inc_rhs inc ~row:h.link_row.(link) < float_of_int v)
+            h.layout.link_row.(link) >= 0
+            && M.inc_rhs inc ~row:h.layout.link_row.(link) < float_of_int v)
           info.links
       in
       (match overfull with
@@ -394,12 +349,14 @@ module Incremental = struct
          Error (Printf.sprintf "pinned connections exceed backbone %d" link)
        | None ->
          Hashtbl.replace h.pinned (k, l) v;
-         M.inc_set_rhs inc ~row:info.bound_row (float_of_int v *. info.g);
+         M.inc_set_rhs inc ~row:info.bound_row
+           (float_of_int v *. h.layout.bottleneck.(k).(l));
+         let var = Option.get h.layout.vars.(k).(l) in
          List.iter
            (fun link ->
-             if h.link_row.(link) >= 0 then begin
-               let row = h.link_row.(link) in
-               M.inc_zero_coeff inc ~row info.var;
+             if h.layout.link_row.(link) >= 0 then begin
+               let row = h.layout.link_row.(link) in
+               M.inc_zero_coeff inc ~row var;
                M.inc_set_rhs inc ~row (M.inc_rhs inc ~row -. float_of_int v);
                h.pin_charge.(link) <- h.pin_charge.(link) +. float_of_int v
              end)
@@ -415,26 +372,26 @@ module Incremental = struct
      lands the handle in the same state. *)
 
   let set_speed h ~cluster v =
-    if cluster < 0 || cluster >= h.kk then
+    if cluster < 0 || cluster >= h.layout.kk then
       invalid_arg "Lp_relax.Incremental.set_speed: cluster out of range";
     if not (Float.is_finite v) || v < 0.0 then
       invalid_arg "Lp_relax.Incremental.set_speed: invalid speed";
     match h.inc with
     | None -> ()
     | Some inc ->
-      if h.compute_row.(cluster) >= 0 then
-        M.inc_set_rhs inc ~row:h.compute_row.(cluster) v
+      if h.layout.compute_row.(cluster) >= 0 then
+        M.inc_set_rhs inc ~row:h.layout.compute_row.(cluster) v
 
   let set_local_bw h ~cluster v =
-    if cluster < 0 || cluster >= h.kk then
+    if cluster < 0 || cluster >= h.layout.kk then
       invalid_arg "Lp_relax.Incremental.set_local_bw: cluster out of range";
     if not (Float.is_finite v) || v < 0.0 then
       invalid_arg "Lp_relax.Incremental.set_local_bw: invalid bandwidth";
     match h.inc with
     | None -> ()
     | Some inc ->
-      if h.local_row.(cluster) >= 0 then
-        M.inc_set_rhs inc ~row:h.local_row.(cluster) v
+      if h.layout.local_row.(cluster) >= 0 then
+        M.inc_set_rhs inc ~row:h.layout.local_row.(cluster) v
 
   let set_max_connect h ~link n =
     if link < 0 || link >= Array.length h.cap_now then
@@ -445,8 +402,8 @@ module Incremental = struct
     | None -> h.cap_now.(link) <- float_of_int n
     | Some inc ->
       h.cap_now.(link) <- float_of_int n;
-      if h.link_row.(link) >= 0 then
-        M.inc_set_rhs inc ~row:h.link_row.(link)
+      if h.layout.link_row.(link) >= 0 then
+        M.inc_set_rhs inc ~row:h.layout.link_row.(link)
           (Float.max 0.0 (float_of_int n -. h.pin_charge.(link)));
       (* The per-pair bound rows were encoded as [g * min max-connect
          over the route]; re-derive them from the current caps so they
@@ -454,53 +411,24 @@ module Incremental = struct
          value (otherwise the warm optimum could be over-constrained
          relative to a cold rebuild). *)
       Hashtbl.iter
-        (fun pair info ->
-          if List.mem link info.links && not (Hashtbl.mem h.pinned pair) then begin
+        (fun (k, l) info ->
+          if List.mem link info.links && not (Hashtbl.mem h.pinned (k, l)) then begin
             let min_cap =
               List.fold_left
                 (fun acc l -> Float.min acc h.cap_now.(l))
                 infinity info.links
             in
             M.inc_set_rhs inc ~row:info.bound_row
-              (Float.max 0.0 (info.g *. min_cap))
+              (Float.max 0.0 (h.layout.bottleneck.(k).(l) *. min_cap))
           end)
         h.pairs
 
   let solve ?max_iterations h =
     match h.inc with
-    | None ->
-      Solution
-        { alpha = Array.make_matrix h.kk h.kk 0.0;
-          beta = Array.make_matrix h.kk h.kk 0.0;
-          objective_value = 0.0;
-          iterations = 0 }
+    | None -> Solution (Float_encoder.zero_solution h.layout.kk)
     | Some inc ->
-      let result = M.inc_solve ?max_iterations inc in
-      (match result.M.status with
-       | M.Solver.Optimal ->
-         let alpha = Array.make_matrix h.kk h.kk 0.0 in
-         let beta = Array.make_matrix h.kk h.kk 0.0 in
-         for k = 0 to h.kk - 1 do
-           for l = 0 to h.kk - 1 do
-             match h.vars.(k).(l) with
-             | None -> ()
-             | Some v ->
-               let a = result.M.value v in
-               alpha.(k).(l) <- a;
-               if k <> l && Float.is_finite h.bottleneck.(k).(l) then begin
-                 match Hashtbl.find_opt h.pinned (k, l) with
-                 | Some fv -> beta.(k).(l) <- float_of_int fv
-                 | None -> beta.(k).(l) <- a /. h.bottleneck.(k).(l)
-               end
-           done
-         done;
-         Solution
-           { alpha; beta;
-             objective_value = result.M.objective;
-             iterations = result.M.iterations }
-       | M.Solver.Infeasible -> Failed "LP infeasible"
-       | M.Solver.Unbounded -> Failed "LP unbounded (malformed problem)"
-       | M.Solver.Iteration_limit -> Failed "simplex iteration budget exhausted")
+      Float_encoder.extract h.layout ~pinned:h.pinned
+        (M.inc_solve ?max_iterations inc)
 
   let counters h =
     match h.inc with
@@ -509,10 +437,3 @@ module Incremental = struct
       { Rs.solves = 0; warm_starts = 0; cold_starts = 0; pivots = 0;
         reinversions = 0; bland_activations = 0; wall_clock = 0.0 }
 end
-
-let solve ?objective ?fixed ?max_iterations problem =
-  Float_encoder.solve ~solver:Dls_lp.Model.Float.solve_auto ?objective ?fixed
-    ?max_iterations problem
-
-let solve_exact ?objective ?fixed ?max_iterations problem =
-  Exact_encoder.solve ?objective ?fixed ?max_iterations problem

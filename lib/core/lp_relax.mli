@@ -39,7 +39,7 @@ val solve :
   float outcome
 (** Float path (default objective [Maxmin], like the paper's headline
     fairness criterion), solved by the eta-file revised simplex on the
-    packed form ({!Dls_lp.Model.Float.solve_auto}). *)
+    packed form ({!Dls_lp.Model.Float.solve_packed}). *)
 
 val solve_exact :
   ?objective:objective ->
@@ -56,19 +56,23 @@ val remote_pairs : Problem.t -> (int * int) list
     crosses at least one backbone link — exactly the pairs whose beta
     matters, i.e. LPRR's rounding domain. *)
 
-(** Warm-started float path for iterated pinning (LPRR's inner loop).
+(** Warm-started float path for iterated pinning (LPRR's inner loop)
+    and for the daemon's resident handles.
 
-    The relaxation is encoded once; {!Incremental.pin} then updates the
-    revised-simplex state in place — it tightens the pair's bound row to
-    [v * g_{k,l}], deletes the pair's [1/g] slot charge from every
-    backbone row of its route and lowers those right-hand sides by [v]
-    — and {!Incremental.solve} re-optimizes from the previous optimal
-    basis instead of rebuilding the model and re-solving from the
-    all-slack basis.  Each solve is the same LP the cold
-    [solve ~fixed:(pinned so far)] path would build (the handle carries
-    one extra, initially redundant, bound row per remote pair), so
-    optimal objectives agree within float tolerance — a property the
-    test suite checks on random platforms. *)
+    The handle holds the cold path's model — the same variables and the
+    same 7b, 7c and 7d rows, built by the same encoder — plus one bound
+    row per remote pair, [alpha_{k,l} <= g_{k,l} * (min max-connect over
+    the route)], placed between the 7d rows and the MAXMIN rows.  A
+    bound row is redundant until its pair is pinned.  {!Incremental.pin}
+    then updates the revised-simplex state in place: it tightens the
+    pair's bound row to [v * g_{k,l}], deletes the pair's [1/g] slot
+    charge from every backbone row of its route and lowers those
+    right-hand sides by [v].  {!Incremental.solve} re-optimizes from the
+    previous optimal basis instead of rebuilding the model and
+    re-solving from the all-slack basis.  Each solve is the same LP the
+    cold [solve ~fixed:(pinned so far)] path would build, so optimal
+    objectives agree within float tolerance — a property the test suite
+    checks on random platforms. *)
 module Incremental : sig
   type handle
 

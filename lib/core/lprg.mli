@@ -6,10 +6,14 @@
     This is the paper's best practical heuristic — close to the LP upper
     bound on the SUM objective at large K. *)
 
+val of_solution : Problem.t -> float Lp_relax.solution -> Allocation.t
+(** Round a relaxation solution down ({!Lpr.round_down}), then refine
+    greedily over the residual capacities.  Traced as the [lprg.solve]
+    span, which covers this post-processing only.  The daemon's warm
+    rung feeds it the resident handle's solution. *)
+
 val of_relaxation : Relaxation.t -> Allocation.t
-(** Round the solved relaxation down ({!Lpr.of_relaxation}), then
-    refine greedily over the residual capacities.  Traced as the
-    [lprg.solve] span, which covers this post-processing only. *)
+(** {!of_solution} of a solved relaxation. *)
 
 val solve :
   ?objective:Lp_relax.objective ->

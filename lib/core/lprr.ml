@@ -15,7 +15,7 @@ type stats = {
   upward_rounds : int;
   pin_trace : ((int * int) * int) list;
   lp_objectives : float list;
-  counters : Rs.counters option;
+  counters : Rs.counters;
 }
 
 let floor_eps = 1e-9
@@ -75,12 +75,11 @@ let recompute_route_slack problem pins (k, l) =
         Stdlib.min acc ((P.backbone p link).P.max_connect - used))
       max_int links
 
-(* The rounding loop, shared by the warm and cold paths.  [solve_pinned]
-   re-solves the relaxation under the pins so far; [record_pin] commits
-   one rounding decision. *)
-let rounding_loop ~equal_probability ~rng ~pairs ~slots ~solve_pinned
-    ~record_pin =
-  let unfixed = ref pairs in
+(* The rounding loop over one incremental handle, encoded once: each
+   re-solve starts from the previous optimal basis. *)
+let rounding_loop ~equal_probability ~rng problem handle =
+  let slots = Slots.create problem in
+  let unfixed = ref (Lp_relax.remote_pairs problem) in
   let lp_solves = ref 0 in
   let upward = ref 0 in
   let trace = ref [] in
@@ -88,14 +87,14 @@ let rounding_loop ~equal_probability ~rng ~pairs ~slots ~solve_pinned
   let failure = ref None in
   let finished = ref false in
   let pin pair v =
-    match record_pin pair v with
+    match Lp_relax.Incremental.pin handle pair v with
     | Ok () ->
       Slots.pin slots pair v;
       trace := (pair, v) :: !trace
     | Error msg -> failure := Some msg
   in
   while not !finished && !failure = None do
-    match solve_pinned () with
+    match Lp_relax.Incremental.solve handle with
     | Lp_relax.Failed msg -> failure := Some msg
     | Lp_relax.Solution sol ->
       incr lp_solves;
@@ -143,7 +142,7 @@ let rounding_loop ~equal_probability ~rng ~pairs ~slots ~solve_pinned
   | Some msg -> Error msg
   | None ->
     (* Final solve with every beta pinned gives the alphas. *)
-    (match solve_pinned () with
+    (match Lp_relax.Incremental.solve handle with
      | Lp_relax.Failed msg -> Error msg
      | Lp_relax.Solution sol ->
        incr lp_solves;
@@ -165,47 +164,15 @@ let finish problem (sol, lp_solves, upward, trace, objectives) ~counters =
   { allocation = alloc; lp_solves; upward_rounds = upward; pin_trace = trace;
     lp_objectives = objectives; counters }
 
-let run ~equal_probability ~warm ?objective ~rng problem =
-  let sp = Trace.start ~cat:"heuristic" "lprr.solve" in
-  Fun.protect ~finally:(fun () ->
-      if Trace.live sp then
-        Trace.finish sp ~args:[ ("start", if warm then "warm" else "cold") ])
-  @@ fun () ->
-  let pairs = Lp_relax.remote_pairs problem in
-  let slots = Slots.create problem in
-  if warm then begin
-    (* Warm path: encode once, thread the incremental handle through
-       the pinning loop; each re-solve starts from the previous optimal
-       basis. *)
-    let handle = Lp_relax.Incremental.create ?objective problem in
-    let outcome =
-      rounding_loop ~equal_probability ~rng ~pairs ~slots
-        ~solve_pinned:(fun () -> Lp_relax.Incremental.solve handle)
-        ~record_pin:(fun pair v -> Lp_relax.Incremental.pin handle pair v)
-    in
-    Result.map
-      (fun r ->
-        finish problem r ~counters:(Some (Lp_relax.Incremental.counters handle)))
-      outcome
-  end
-  else begin
-    (* Cold path (the paper's cost model and our warm-vs-cold bench
-       baseline): rebuild the model and re-solve from the all-slack
-       basis at every iteration. *)
-    let pins = ref [] in
-    let outcome =
-      rounding_loop ~equal_probability ~rng ~pairs ~slots
-        ~solve_pinned:(fun () ->
-          Lp_relax.solve ?objective ~fixed:!pins problem)
-        ~record_pin:(fun pair v ->
-          pins := (pair, v) :: !pins;
-          Ok ())
-    in
-    Result.map (fun r -> finish problem r ~counters:None) outcome
-  end
+let run ~equal_probability ?objective ~rng problem =
+  Trace.with_span ~cat:"heuristic" "lprr.solve" @@ fun () ->
+  let handle = Lp_relax.Incremental.create ?objective problem in
+  Result.map
+    (fun r -> finish problem r ~counters:(Lp_relax.Incremental.counters handle))
+    (rounding_loop ~equal_probability ~rng problem handle)
 
-let solve ?(warm = true) ?objective ~rng problem =
-  run ~equal_probability:false ~warm ?objective ~rng problem
+let solve ?objective ~rng problem =
+  run ~equal_probability:false ?objective ~rng problem
 
-let solve_equal_probability ?(warm = true) ?objective ~rng problem =
-  run ~equal_probability:true ~warm ?objective ~rng problem
+let solve_equal_probability ?objective ~rng problem =
+  run ~equal_probability:true ?objective ~rng problem

@@ -14,14 +14,11 @@
     connection slots actually remaining on the route.
 
     Cost: one LP solve per remote route — the K^2 factor the paper
-    measures in Figure 7.  By default ([warm = true]) those solves go
-    through {!Lp_relax.Incremental}: the model is encoded once and each
-    re-solve warm-starts from the previous optimal basis.
-    [~warm:false] keeps the historical rebuild-and-cold-solve loop; it
-    is the baseline the warm-vs-cold bench measures against.  Both
-    paths solve the same LP under the same pins, but MAXMIN optima are
-    massively degenerate, so the two may return different optimal
-    vertices and the random trajectories can drift apart — what is
+    measures in Figure 7.  Those solves go through
+    {!Lp_relax.Incremental}: the model is encoded once and each re-solve
+    warm-starts from the previous optimal basis.  MAXMIN optima are
+    massively degenerate, so a warm re-solve may return another optimal
+    vertex than a from-scratch solve under the same pins would; what is
     guaranteed (and property-tested) is that every per-iteration LP
     objective matches a from-scratch solve under the same pin prefix. *)
 
@@ -36,21 +33,18 @@ type stats = {
   (** Objective of each LP solve, in order (one per entry of
       [pin_trace] possibly batched with trailing zero pins, plus the
       final solve). *)
-  counters : Dls_lp.Revised_simplex.counters option;
+  counters : Dls_lp.Revised_simplex.counters;
   (** Solver instrumentation (pivots, warm/cold starts, reinversions,
-      wall-clock); [None] on the cold path, which makes a fresh solver
-      per iteration. *)
+      wall-clock) of the run's incremental handle. *)
 }
 
 val solve :
-  ?warm:bool ->
   ?objective:Lp_relax.objective ->
   rng:Dls_util.Prng.t ->
   Problem.t ->
   (stats, string) result
 
 val solve_equal_probability :
-  ?warm:bool ->
   ?objective:Lp_relax.objective ->
   rng:Dls_util.Prng.t ->
   Problem.t ->

@@ -40,7 +40,8 @@ let check_apps platform apps =
    source data, available only at the home cluster).  Everything else —
    per-stage input rates, application throughput — is a linear
    combination of flows, so the whole program is <=-rows with
-   non-negative right-hand sides and runs on the sparse engine. *)
+   non-negative right-hand sides and runs on the packed-form revised
+   simplex. *)
 let solve ?(objective = Lp_relax.Maxmin) ?max_iterations platform apps =
   check_apps platform apps;
   let kk = P.num_clusters platform in
@@ -197,7 +198,7 @@ let solve ?(objective = Lp_relax.Maxmin) ?max_iterations platform apps =
            M.add_le m row 0.0)
          active;
        M.set_objective m [ (t, 1.0) ]);
-    let result = M.solve_auto ?max_iterations m in
+    let result = M.solve_packed ?max_iterations m in
     match result.M.status with
     | M.Solver.Optimal ->
       let value_of terms =

@@ -113,9 +113,7 @@ let note_lp_success b =
 (* ------------------------------------------------------------------ *)
 
 module Lp_relax = Dls_core.Lp_relax
-module Lpr = Dls_core.Lpr
-module Residual = Dls_core.Residual
-module Greedy = Dls_core.Greedy
+module Lprg = Dls_core.Lprg
 
 (* One warm simplex state per objective, kept alive across requests.
    The breaker deliberately lives *outside* this record: handle
@@ -169,10 +167,10 @@ let resident_pivots r =
     0 r.r_handles
 
 (* The warm Resolve-LP rung: the resident handle's relaxation solution
-   fed through the same round-down + greedy-refine pipeline as the cold
-   LPRG path.  A failed warm solve drops the handle (the carried basis
-   may be poisoned) and falls back to the objective-free greedy, like
-   the cold rung does. *)
+   fed through the same LPRG post-processing as the cold rung.  A
+   failed warm solve drops the handle (the carried basis may be
+   poisoned) and falls back to the objective-free greedy, like the cold
+   rung does. *)
 let warm_resolve r ~objective problem =
   let h =
     match List.assoc_opt objective r.r_handles with
@@ -188,12 +186,7 @@ let warm_resolve r ~objective problem =
       h
   in
   match Lp_relax.Incremental.solve h with
-  | Lp_relax.Solution sol ->
-    let rounded = Lpr.round_down problem sol in
-    let residual =
-      Residual.of_allocation (Problem.platform problem) rounded
-    in
-    Ok (Greedy.refine problem residual rounded)
+  | Lp_relax.Solution sol -> Ok (Lprg.of_solution problem sol)
   | Lp_relax.Failed _ ->
     r.r_handles <- List.remove_assoc objective r.r_handles;
     Repair.run_stage ~objective ~heuristic:Heuristics.G Repair.Resolve

@@ -33,8 +33,8 @@ let rounding_policy ?(seed = 6) ?(ks = [ 8; 12 ]) ?(per_k = 4) () =
         | Ok bound ->
           let run solve =
             match
-              solve ?warm:None ?objective:(Some Lp_relax.Maxmin)
-                ~rng:(Prng.split rng) problem
+              solve ?objective:(Some Lp_relax.Maxmin) ~rng:(Prng.split rng)
+                problem
             with
             | Ok stats ->
               Some (Allocation.maxmin_objective problem stats.Lprr.allocation /. bound)

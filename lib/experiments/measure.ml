@@ -103,7 +103,7 @@ let evaluate ?(with_lprr = false) ?rng problem =
         | Error msg, _ -> Error ("LPRR " ^ name ^ ": " ^ msg)
         | Ok st, t ->
           let* alloc = checked problem "LPRR" st.Lprr.allocation in
-          Ok (alloc, st.Lprr.counters, t)
+          Ok (alloc, Some st.Lprr.counters, t)
       in
       (* Solver counters and time come from the MAXMIN run. *)
       let* mm_alloc, counters, t = lprr "maxmin" Lp_relax.Maxmin in

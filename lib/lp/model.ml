@@ -114,30 +114,28 @@ module Float = struct
   include Make (Field.Float)
 
   (* The builder's internals are visible here (same compilation unit as
-     the functor), letting the packed-inequality fast path reuse them. *)
+     the functor), letting the packed-inequality core reuse them. *)
   let packed_form t =
     let all_le_nonneg =
       List.for_all (fun r -> r.cmp = Solver.Le && r.rhs >= 0.0) t.rows
       && Hashtbl.fold (fun _ b acc -> acc && b >= 0.0) t.bounds true
     in
-    if not all_le_nonneg then None
-    else begin
-      let bound_rows =
-        Hashtbl.fold
-          (fun v b acc ->
-            { Revised_simplex.coeffs = [ (v, 1.0) ]; rhs = b } :: acc)
-          t.bounds []
-      in
-      let rows =
-        List.rev_map
-          (fun r -> { Revised_simplex.coeffs = r.coeffs; rhs = r.rhs })
-          t.rows
-      in
-      Some
-        { Revised_simplex.num_vars = t.n;
-          maximize = t.objective;
-          rows = rows @ bound_rows }
-    end
+    if not all_le_nonneg then
+      invalid_arg "Model.Float: model not in packed inequality form";
+    let bound_rows =
+      Hashtbl.fold
+        (fun v b acc ->
+          { Revised_simplex.coeffs = [ (v, 1.0) ]; rhs = b } :: acc)
+        t.bounds []
+    in
+    let rows =
+      List.rev_map
+        (fun r -> { Revised_simplex.coeffs = r.coeffs; rhs = r.rhs })
+        t.rows
+    in
+    { Revised_simplex.num_vars = t.n;
+      maximize = t.objective;
+      rows = rows @ bound_rows }
 
   let result_of_packed t (sol : Revised_simplex.solution) =
     let status =
@@ -160,11 +158,8 @@ module Float = struct
           (Stdlib.min t.nrows (Array.length sol.Revised_simplex.duals));
       iterations = sol.Revised_simplex.iterations }
 
-  let solve_auto ?max_iterations t =
-    match packed_form t with
-    | None -> solve ?max_iterations t
-    | Some problem ->
-      result_of_packed t (Revised_simplex.solve ?max_iterations problem)
+  let solve_packed ?max_iterations t =
+    result_of_packed t (Revised_simplex.solve ?max_iterations (packed_form t))
 
   (* Incremental-solve handle: the model is snapshotted once into a
      revised-simplex state; subsequent row edits go through the state
@@ -172,11 +167,7 @@ module Float = struct
      previous optimal basis. *)
   type incremental = { model : t; state : Revised_simplex.state }
 
-  let incremental t =
-    match packed_form t with
-    | None ->
-      invalid_arg "Model.Float.incremental: model not in packed inequality form"
-    | Some problem -> { model = t; state = Revised_simplex.create problem }
+  let incremental t = { model = t; state = Revised_simplex.create (packed_form t) }
 
   let check_row h row =
     if row < 0 || row >= h.model.nrows then

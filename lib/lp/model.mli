@@ -61,13 +61,15 @@ end
 module Float : sig
   include module type of struct include Make (Field.Float) end
 
-  val solve_auto : ?max_iterations:int -> t -> result
-  (** Like {!solve}, but routes programs in packed inequality form (all
-      rows [<=] with non-negative right-hand sides — the shape of every
-      DLS relaxation) to {!Revised_simplex}, falling back to the dense
-      tableau otherwise.  Identical results up to float tolerance;
-      cross-checked by the property tests and the differential
-      harness. *)
+  val solve_packed : ?max_iterations:int -> t -> result
+  (** Solve with {!Revised_simplex}, the packed-form core: every DLS
+      relaxation has that shape (all rows [<=] with non-negative
+      right-hand sides).  The dense tableau {!solve} stays as the
+      differential oracle; the property tests and the differential
+      harness check that both agree up to float tolerance.
+      @raise Invalid_argument unless the model is in packed inequality
+      form (all rows [<=], right-hand sides and upper bounds
+      non-negative). *)
 
   type incremental
   (** Handle for a sequence of warm-started re-solves of one packed
@@ -76,9 +78,7 @@ module Float : sig
 
   val incremental : t -> incremental
   (** Snapshot the model into a {!Revised_simplex} state.
-      @raise Invalid_argument unless the model is in packed inequality
-      form (all rows [<=], right-hand sides and upper bounds
-      non-negative). *)
+      @raise Invalid_argument on the models {!solve_packed} refuses. *)
 
   val inc_set_rhs : incremental -> row:int -> float -> unit
   (** Replace the right-hand side of the [row]-th constraint (in order

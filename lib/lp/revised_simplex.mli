@@ -13,9 +13,10 @@
     Scope: the packed inequality form the steady-state relaxation
     naturally has — maximize [c . x] subject to [A x <= b] with
     [x >= 0] and [b >= 0] — so the all-slack basis is feasible and no
-    phase 1 is needed.  {!Model.Float.solve_auto} routes eligible
-    programs here and everything else to the dense tableau; both engines
-    are cross-checked on random programs in the test suite.
+    phase 1 is needed.  {!Model.Float.solve_packed} and
+    {!Model.Float.incremental} run models of that form here and refuse
+    any other; the dense tableau is the test suite's oracle, and both
+    engines are cross-checked on random programs.
 
     {2 Resumable solves}
 

@@ -307,17 +307,19 @@ let prop_lprr_slots_match_recompute =
         pairs)
 
 let prop_lprr_warm_matches_cold_lps =
-  (* S5: a warm-started LPRR run must (i) produce a feasible
-     allocation, and (ii) have seen, at every iteration, the same LP
-     optimum a from-scratch solve under the same pin prefix finds —
-     solver state carried across pins never changes the math.  (The
-     full warm and cold trajectories may differ: MAXMIN optima are
-     degenerate, and the two paths can land on different vertices.) *)
+  (* S5: an LPRR run, whose LPs are warm-started re-solves, must (i)
+     produce a feasible allocation, and (ii) have seen, at every
+     iteration, the same LP optimum a from-scratch solve under the same
+     pin prefix finds — solver state carried across pins never changes
+     the math.  Both objectives: SUM re-solves under pins take other
+     pivots than MAXMIN's degenerate ones. *)
   QCheck2.Test.make ~name:"warm LPRR objectives match cold solves per pin prefix"
-    ~count:10 (QCheck2.Gen.int_range 0 100_000) (fun seed ->
+    ~count:16
+    QCheck2.Gen.(pair (int_range 0 100_000) (oneofl [ Lp_relax.Sum; Lp_relax.Maxmin ]))
+    (fun (seed, objective) ->
       let pr = random_problem ~kmin:3 ~kmax:5 seed in
       let rng = Prng.create ~seed:(seed + 23) in
-      match Lprr.solve ~warm:true ~rng pr with
+      match Lprr.solve ~objective ~rng pr with
       | Error _ -> true (* platforms where the relaxation fails are not the point *)
       | Ok st ->
         let trace = Array.of_list st.Lprr.pin_trace in
@@ -326,42 +328,22 @@ let prop_lprr_warm_matches_cold_lps =
         let close a b =
           Float.abs (a -. b) <= 1e-6 *. Float.max 1.0 (Float.max (Float.abs a) (Float.abs b))
         in
+        let c = st.Lprr.counters in
         Allocation.is_feasible pr st.Lprr.allocation
-        && (match st.Lprr.counters with
-            | Some c ->
-              c.Dls_lp.Revised_simplex.solves = st.Lprr.lp_solves
-              && c.Dls_lp.Revised_simplex.warm_starts
-                 + c.Dls_lp.Revised_simplex.cold_starts
-                 = c.Dls_lp.Revised_simplex.solves
-            | None -> false)
+        && c.Dls_lp.Revised_simplex.solves = st.Lprr.lp_solves
+        && c.Dls_lp.Revised_simplex.warm_starts + c.Dls_lp.Revised_simplex.cold_starts
+           = c.Dls_lp.Revised_simplex.solves
         && List.for_all Fun.id
              (List.mapi
                 (fun i obj ->
                   (* Solve i of the loop ran under the first i pins; the
                      final solve under all of them. *)
                   let fixed = prefix (Stdlib.min i npins) in
-                  match Lp_relax.solve ~fixed pr with
+                  match Lp_relax.solve ~objective ~fixed pr with
                   | Lp_relax.Solution cold ->
                     close obj cold.Lp_relax.objective_value
                   | Lp_relax.Failed _ -> false)
                 st.Lprr.lp_objectives))
-
-let test_lprr_warm_cold_same_coins () =
-  (* Smoke parity check on one platform: warm and cold runs on copied
-     coin streams both succeed and both stay feasible. *)
-  let pr = random_problem ~kmin:3 ~kmax:5 11 in
-  let coins = Prng.create ~seed:77 in
-  let warm = Lprr.solve ~warm:true ~rng:(Prng.copy coins) pr in
-  let cold = Lprr.solve ~warm:false ~rng:(Prng.copy coins) pr in
-  match (warm, cold) with
-  | Ok w, Ok c ->
-    Alcotest.(check bool) "warm feasible" true
-      (Allocation.is_feasible pr w.Lprr.allocation);
-    Alcotest.(check bool) "cold feasible" true
-      (Allocation.is_feasible pr c.Lprr.allocation);
-    Alcotest.(check bool) "warm has counters" true (w.Lprr.counters <> None);
-    Alcotest.(check bool) "cold has no counters" true (c.Lprr.counters = None)
-  | Error msg, _ | _, Error msg -> Alcotest.failf "LPRR failed: %s" msg
 
 let test_heuristics_names () =
   List.iter
@@ -1155,8 +1137,6 @@ let () =
           Alcotest.test_case "LPR poor, LPRG reclaims" `Quick
             test_lpr_rounds_down_to_zero;
           Alcotest.test_case "LPRR stats" `Quick test_lprr_stats_bounds;
-          Alcotest.test_case "LPRR warm vs cold smoke" `Quick
-            test_lprr_warm_cold_same_coins;
           Alcotest.test_case "names" `Quick test_heuristics_names;
           Alcotest.test_case "shared relaxation guard" `Quick
             test_run_rejects_foreign_relaxation ] );

@@ -1164,8 +1164,10 @@ let apply_edits h edits =
    relaxation optima must agree to float tolerance. *)
 let prop_warm_equals_cold =
   QCheck2.Test.make ~name:"warm-incremental equals cold re-solve" ~count:24
-    QCheck2.Gen.(pair (int_bound 10_000) (int_range 1 12))
-    (fun (seed, n) ->
+    QCheck2.Gen.(
+      triple (int_bound 10_000) (int_range 1 12)
+        (oneofl [ Lp_relax.Sum; Lp_relax.Maxmin ]))
+    (fun (seed, n, objective) ->
       let pf = platform () in
       let st = D.State.create pf in
       let handle = ref None in
@@ -1175,8 +1177,7 @@ let prop_warm_equals_cold =
           | Some h -> h
           | None ->
             let h =
-              Lp_relax.Incremental.create ~objective:Lp_relax.Maxmin
-                (D.State.problem st)
+              Lp_relax.Incremental.create ~objective (D.State.problem st)
             in
             handle := Some h;
             h
@@ -1186,9 +1187,7 @@ let prop_warm_equals_cold =
         | Lp_relax.Failed m -> Alcotest.failf "warm solve failed: %s" m
       in
       let solve_cold () =
-        match
-          Lp_relax.solve ~objective:Lp_relax.Maxmin (D.State.problem st)
-        with
+        match Lp_relax.solve ~objective (D.State.problem st) with
         | Lp_relax.Solution s -> s.Lp_relax.objective_value
         | Lp_relax.Failed m -> Alcotest.failf "cold solve failed: %s" m
       in

@@ -578,7 +578,7 @@ let prop_revised_matches_dense =
       | _ -> false)
 
 let prop_revised_solution_feasible =
-  QCheck2.Test.make ~name:"sparse engine solutions satisfy all rows" ~count:300
+  QCheck2.Test.make ~name:"revised simplex solutions satisfy all rows" ~count:300
     packed_lp_gen (fun (nv, obj, rows) ->
       let objf = List.map (fun (v, c) -> (v, float_of_int c)) obj in
       let rowsf =
@@ -602,7 +602,7 @@ let prop_revised_solution_feasible =
                rowsf))
 
 let prop_revised_strong_duality =
-  QCheck2.Test.make ~name:"sparse engine satisfies strong duality" ~count:300
+  QCheck2.Test.make ~name:"revised simplex satisfies strong duality" ~count:300
     packed_lp_gen (fun (nv, obj, rows) ->
       let objf = List.map (fun (v, c) -> (v, float_of_int c)) obj in
       let rowsf =
@@ -766,7 +766,18 @@ let test_model_incremental_handle () =
   Alcotest.(check int) "solves counted" 3 (registry_counter "lp.solves");
   Alcotest.(check int) "every solve tagged" 3
     (registry_counter "lp.warm_starts" + registry_counter "lp.cold_starts");
-  Alcotest.(check int) "state solves" 3 (Mf.inc_counters h).Rs.solves
+  Alcotest.(check int) "state solves" 3 (Mf.inc_counters h).Rs.solves;
+  (* The builder is not edited through the handle; a cold packed solve
+     still sees the original program. *)
+  check_float "cold packed solve" 36.0 (Mf.solve_packed m).Mf.objective;
+  (* A [>=] row is outside the packed form: both entry points refuse it
+     rather than fall back to the tableau. *)
+  Mf.add_ge m [ (x, 1.0) ] 1.0;
+  let refused = Invalid_argument "Model.Float: model not in packed inequality form" in
+  Alcotest.check_raises "solve_packed refuses" refused (fun () ->
+      ignore (Mf.solve_packed m));
+  Alcotest.check_raises "incremental refuses" refused (fun () ->
+      ignore (Mf.incremental m))
 
 let test_warm_fewer_pivots () =
   (* Resuming from the previous optimal basis after a small relaxation
