@@ -50,7 +50,8 @@ module Encode (F : Dls_lp.Field.S) = struct
       objective_value = F.zero;
       iterations = 0 }
 
-  (* The variables, then rows 7b, 7c and 7d in that order.  [pinned]
+  (* The variables, then rows 7b, 7c and 7d, then one pin row
+     [alpha <= v * g] per pinned pair in [remote_pairs] order.  [pinned]
      maps a remote pair to its fixed connection count.  [Error] when the
      pins overfill a backbone link. *)
   let capacity_rows m problem ~pinned =
@@ -75,7 +76,7 @@ module Encode (F : Dls_lp.Field.S) = struct
               match P.route p k l with Some _ -> true | None -> false)
           in
           if admissible then begin
-            let v = M.add_var ~name:(Printf.sprintf "a_%d_%d" k l) m in
+            let v = M.add_var m in
             vars.(k).(l) <- Some v;
             if l <> k then begin
               match P.route_bottleneck p k l with
@@ -85,16 +86,6 @@ module Encode (F : Dls_lp.Field.S) = struct
           end
         done)
       (Problem.active problem);
-    (* Pinned pairs: alpha <= v * g as an upper bound. *)
-    Hashtbl.iter
-      (fun (k, l) v ->
-        match vars.(k).(l) with
-        | Some var when k <> l && Float.is_finite bottleneck.(k).(l) ->
-          M.set_upper_bound m var
-            (F.mul (F.of_int v) (F.of_float bottleneck.(k).(l)))
-        | Some _ | None ->
-          invalid_arg "Lp_relax: fixed beta on a pair without a backbone route")
-      pinned;
     (* Equation 7b: per-cluster compute capacity. *)
     let compute_row =
       Array.init kk (fun l ->
@@ -148,6 +139,20 @@ module Encode (F : Dls_lp.Field.S) = struct
           end
           else add_row !terms !rhs)
     in
+    (* Pin rows, where the incremental handle keeps its per-pair bound
+       rows. *)
+    if Hashtbl.length pinned > 0 then begin
+      let pins = List.filter (Hashtbl.mem pinned) (remote_pairs problem) in
+      if List.length pins <> Hashtbl.length pinned then
+        invalid_arg "Lp_relax: fixed beta on a pair without a backbone route";
+      List.iter
+        (fun (k, l) ->
+          M.add_le m
+            [ (Option.get vars.(k).(l), F.one) ]
+            (F.mul (F.of_int (Hashtbl.find pinned (k, l)))
+               (F.of_float bottleneck.(k).(l))))
+        pins
+    end;
     match !infeasible with
     | Some msg -> Error msg
     | None -> Ok { kk; vars; bottleneck; compute_row; local_row; link_row }
@@ -171,7 +176,7 @@ module Encode (F : Dls_lp.Field.S) = struct
       in
       M.set_objective m terms
     | Maxmin ->
-      let t = M.add_var ~name:"t" m in
+      let t = M.add_var m in
       List.iter
         (fun k ->
           let pi = F.of_float (Problem.payoff problem k) in
@@ -244,8 +249,8 @@ let solve ?objective ?fixed ?max_iterations problem =
     Float_encoder.extract layout ~pinned
       (Dls_lp.Model.Float.solve_packed ?max_iterations m)
 
-let solve_exact ?objective ?fixed ?max_iterations problem =
-  match Exact_encoder.encode ?objective ?fixed problem with
+let solve_exact ?objective ?max_iterations problem =
+  match Exact_encoder.encode ?objective problem with
   | Error outcome -> outcome
   | Ok (m, layout, pinned) ->
     Exact_encoder.extract layout ~pinned
@@ -272,7 +277,6 @@ let solve_exact ?objective ?fixed ?max_iterations problem =
    tightens its right-hand side. *)
 module Incremental = struct
   module M = Dls_lp.Model.Float
-  module Rs = Dls_lp.Revised_simplex
 
   type pair_info = {
     links : int list;  (* deduplicated backbone ids of the route *)
@@ -433,7 +437,5 @@ module Incremental = struct
   let counters h =
     match h.inc with
     | Some inc -> M.inc_counters inc
-    | None ->
-      { Rs.solves = 0; warm_starts = 0; cold_starts = 0; pivots = 0;
-        reinversions = 0; bland_activations = 0; wall_clock = 0.0 }
+    | None -> Dls_lp.Revised_simplex.zero_counters
 end

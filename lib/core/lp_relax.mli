@@ -10,10 +10,11 @@
     columns (Section 2.1 of DESIGN.md).  The relaxation's optimum is the
     upper bound ("LP") the paper compares every heuristic against.
 
-    [fixed] pins selected remote pairs to integer connection counts: the
-    pair's bandwidth row becomes [alpha_{k,l} <= v * g_{k,l}] and its
-    slot charge on each route link becomes the constant [v].  LPRR uses
-    this to implement its iterated randomized rounding. *)
+    [fixed] pins selected remote pairs to integer connection counts:
+    each pin is one more [<=] row, [alpha_{k,l} <= v * g_{k,l}], placed
+    after the 7d rows in {!remote_pairs} order, and the pair's slot
+    charge on each route link becomes the constant [v].  {!Mip}'s branch
+    and bound pins this way, and LPRR's reference tests use it. *)
 
 type objective = Sum | Maxmin
 
@@ -43,13 +44,13 @@ val solve :
 
 val solve_exact :
   ?objective:objective ->
-  ?fixed:((int * int) * int) list ->
   ?max_iterations:int ->
   Problem.t ->
   Dls_num.Rat.t outcome
-(** Exact-rational path: same construction with platform parameters
-    injected exactly (every float is a rational).  Slower; intended for
-    tests, small instances, and schedule reconstruction. *)
+(** Exact-rational path: same construction, with no pins, and with
+    platform parameters injected exactly (every float is a rational).
+    Slower; intended for tests, small instances, and schedule
+    reconstruction. *)
 
 val remote_pairs : Problem.t -> (int * int) list
 (** Ordered pairs (k, l), k active, k <> l, joined by a route that

@@ -77,8 +77,7 @@ let solve ?(objective = Lp_relax.Maxmin) ?max_iterations platform apps =
                 (fun c ->
                   List.filter_map
                     (fun c' ->
-                      if reachable c c' then
-                        Some (c, c', M.add_var ~name:(Printf.sprintf "f_%d_%d_%d" s c c') m)
+                      if reachable c c' then Some (c, c', M.add_var m)
                       else None)
                     (List.init kk Fun.id))
                 sources))
@@ -186,7 +185,7 @@ let solve ?(objective = Lp_relax.Maxmin) ?max_iterations platform apps =
        in
        M.set_objective m terms
      | Lp_relax.Maxmin ->
-       let t = M.add_var ~name:"t" m in
+       let t = M.add_var m in
        List.iter
          (fun a ->
            let row =

@@ -1,9 +1,10 @@
 (** Linear-program modeling layer.
 
-    A thin, imperative builder over {!Simplex}: named variables, linear
-    constraints, optional upper bounds (lowered to [<=] rows), and a
-    maximization objective.  The DLS encoders in [Dls_core] use this API
-    so that the same construction code produces both the float and the
+    A thin, imperative builder for the packed form every DLS program
+    has: maximize a linear objective over non-negative variables subject
+    to [<=] rows.  A variable bound, such as an LPRR or MIP pin, is one
+    more such row.  The DLS encoders in [Dls_core] use this API so that
+    the same construction code produces both the float and the
     exact-rational programs. *)
 
 module Make (F : Field.S) : sig
@@ -17,24 +18,16 @@ module Make (F : Field.S) : sig
 
   val create : unit -> t
 
-  val add_var : ?name:string -> ?ub:F.t -> t -> var
-  (** New variable constrained to [0 <= x] (and [x <= ub] if given). *)
-
-  val var_name : t -> var -> string
-  (** The name given at creation, or ["x<i>"]. *)
+  val add_var : t -> var
+  (** New variable constrained to [0 <= x]. *)
 
   val num_vars : t -> int
 
   val num_constraints : t -> int
-  (** Rows added so far, not counting bound rows. *)
+  (** Rows added so far; the next row added gets this index. *)
 
   val add_le : t -> (var * F.t) list -> F.t -> unit
-  val add_ge : t -> (var * F.t) list -> F.t -> unit
-  val add_eq : t -> (var * F.t) list -> F.t -> unit
-
-  val set_upper_bound : t -> var -> F.t -> unit
-  (** Adds/overrides an upper bound on a variable (used by LPRR when it
-      fixes a rounded [beta_{k,l}]). The tightest bound set wins. *)
+  (** Add the row [sum coeffs <= rhs]; duplicate variables are summed. *)
 
   val set_objective : t -> (var * F.t) list -> unit
   (** Maximization objective; replaces any previous objective. *)
@@ -43,33 +36,25 @@ module Make (F : Field.S) : sig
     status : Solver.status;
     objective : F.t;
     value : var -> F.t;
-    duals : F.t array;
-    (** shadow prices of the constraints added with [add_le]/[add_ge]/
-        [add_eq], in order of addition (bound rows are not included);
-        meaningful when optimal *)
     iterations : int;
   }
 
   val solve : ?max_iterations:int -> t -> result
-  (** Solving does not consume the builder: more constraints can be added
-      afterwards and the problem re-solved (LPRR does exactly this). *)
-
-  val pp : Format.formatter -> t -> unit
-  (** Debug rendering of the full program. *)
+  (** Solve with the dense tableau {!Simplex}.  Solving does not consume
+      the builder: more rows can be added afterwards and the problem
+      re-solved. *)
 end
 
 module Float : sig
   include module type of struct include Make (Field.Float) end
 
   val solve_packed : ?max_iterations:int -> t -> result
-  (** Solve with {!Revised_simplex}, the packed-form core: every DLS
-      relaxation has that shape (all rows [<=] with non-negative
-      right-hand sides).  The dense tableau {!solve} stays as the
-      differential oracle; the property tests and the differential
-      harness check that both agree up to float tolerance.
-      @raise Invalid_argument unless the model is in packed inequality
-      form (all rows [<=], right-hand sides and upper bounds
-      non-negative). *)
+  (** Solve with {!Revised_simplex}, the packed-form core.  The dense
+      tableau {!solve} stays as the differential oracle; the property
+      tests and the differential harness check that both agree up to
+      float tolerance.
+      @raise Invalid_argument on a negative right-hand side (the
+      all-slack start would not be feasible). *)
 
   type incremental
   (** Handle for a sequence of warm-started re-solves of one packed
@@ -82,7 +67,7 @@ module Float : sig
 
   val inc_set_rhs : incremental -> row:int -> float -> unit
   (** Replace the right-hand side of the [row]-th constraint (in order
-      of [add_le] addition; variable-bound rows are not addressable).
+      of [add_le] addition).
       @raise Invalid_argument on an out-of-range row or negative
       value. *)
 

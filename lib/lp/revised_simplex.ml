@@ -278,26 +278,55 @@ let create problem =
   let rows = Array.of_list problem.rows in
   let m = Array.length rows in
   let n = problem.num_vars in
-  (* Transpose the row-wise input into compressed columns, summing
-     duplicate coefficients. *)
-  let per_col = Array.make n [] in
-  Array.iteri
-    (fun i (r : constr) ->
+  (* Transpose the row-wise input into compressed columns: count the
+     entries per column, then fill them in row order, so each column's
+     entries ascend by row.  A duplicate index inside a row is the
+     column's last entry so far and is summed into it; zero sums are
+     dropped at the end. *)
+  let len = Array.make n 0 in
+  Array.iter
+    (fun (r : constr) ->
       if r.rhs < 0.0 then
         invalid_arg "Revised_simplex.solve: negative right-hand side";
-      let merged = Hashtbl.create 8 in
       List.iter
-        (fun (j, v) ->
+        (fun (j, _) ->
           if j < 0 || j >= n then
             invalid_arg
               (Printf.sprintf "Revised_simplex.solve: variable index %d out of range" j);
-          Hashtbl.replace merged j
-            (v +. Option.value ~default:0.0 (Hashtbl.find_opt merged j)))
-        r.coeffs;
-      Hashtbl.iter (fun j v -> if v <> 0.0 then per_col.(j) <- (i, v) :: per_col.(j)) merged)
+          len.(j) <- len.(j) + 1)
+        r.coeffs)
     rows;
-  let col_idx = Array.map (fun l -> Array.of_list (List.rev_map fst l)) per_col in
-  let col_val = Array.map (fun l -> Array.of_list (List.rev_map snd l)) per_col in
+  let col_idx = Array.map (fun c -> Array.make c 0) len in
+  let col_val = Array.map (fun c -> Array.make c 0.0) len in
+  Array.fill len 0 n 0;
+  Array.iteri
+    (fun i (r : constr) ->
+      List.iter
+        (fun (j, v) ->
+          let k = len.(j) and idx = col_idx.(j) and value = col_val.(j) in
+          if k > 0 && idx.(k - 1) = i then value.(k - 1) <- value.(k - 1) +. v
+          else begin
+            idx.(k) <- i;
+            value.(k) <- v;
+            len.(j) <- k + 1
+          end)
+        r.coeffs)
+    rows;
+  for j = 0 to n - 1 do
+    let idx = col_idx.(j) and value = col_val.(j) in
+    let kept = ref 0 in
+    for k = 0 to len.(j) - 1 do
+      if value.(k) <> 0.0 then begin
+        idx.(!kept) <- idx.(k);
+        value.(!kept) <- value.(k);
+        incr kept
+      end
+    done;
+    if !kept < Array.length idx then begin
+      col_idx.(j) <- Array.sub idx 0 !kept;
+      col_val.(j) <- Array.sub value 0 !kept
+    end
+  done;
   let obj = Array.make n 0.0 in
   List.iter
     (fun (j, v) ->

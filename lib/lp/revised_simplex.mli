@@ -13,9 +13,10 @@
     Scope: the packed inequality form the steady-state relaxation
     naturally has — maximize [c . x] subject to [A x <= b] with
     [x >= 0] and [b >= 0] — so the all-slack basis is feasible and no
-    phase 1 is needed.  {!Model.Float.solve_packed} and
-    {!Model.Float.incremental} run models of that form here and refuse
-    any other; the dense tableau is the test suite's oracle, and both
+    phase 1 is needed.  Every {!Model} program has that form, so
+    {!Model.Float.solve_packed} and {!Model.Float.incremental} hand
+    their rows over unchanged; a negative right-hand side is refused
+    here.  The dense tableau is the test suite's oracle, and both
     engines are cross-checked on random programs.
 
     {2 Resumable solves}
@@ -32,7 +33,8 @@
     [Dls_core.Lp_relax.Incremental]. *)
 
 type constr = {
-  coeffs : (int * float) list;  (** duplicate indices are summed *)
+  coeffs : (int * float) list;
+  (** duplicate indices are summed; zero sums are not stored *)
   rhs : float;  (** must be [>= 0] *)
 }
 
@@ -95,14 +97,18 @@ type counters = {
   wall_clock : float;  (** seconds spent inside {!solve_state} *)
 }
 
+val zero_counters : counters
+(** Every field zero: the counters of a state that never solved. *)
+
 val create : problem -> state
-(** Build the compressed-column form once.  Raises like {!solve}. *)
+(** Build the compressed-column form once, each column's entries in
+    ascending row order.  Raises like {!solve}. *)
 
 val solve_state : ?max_iterations:int -> state -> solution
 (** Optimize the state's current problem.  The first call is a cold
     start; later calls warm-start from the carried basis as described
-    above.  Cumulative {!counters} are updated, and a [dls.lp.revised]
-    debug line is logged per solve (pivots, reinversions, warm/cold
+    above.  Cumulative {!counters} are updated, and an [lp.solve] debug
+    log record is written per solve (pivots, reinversions, warm/cold
     tag, wall-clock). *)
 
 val set_rhs : state -> row:int -> float -> unit

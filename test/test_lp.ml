@@ -207,9 +207,10 @@ let test_exact_fractional_optimum () =
 
 let test_model_basic () =
   let m = Mf.create () in
-  let x = Mf.add_var ~name:"x" m in
-  let y = Mf.add_var ~name:"y" ~ub:6.0 m in
+  let x = Mf.add_var m in
+  let y = Mf.add_var m in
   Mf.add_le m [ (x, 1.0); (y, 1.0) ] 10.0;
+  Mf.add_le m [ (y, 1.0) ] 6.0;
   Mf.set_objective m [ (x, 1.0); (y, 2.0) ];
   let r = Mf.solve m in
   Alcotest.(check bool) "optimal" true (r.Mf.status = Mf.Solver.Optimal);
@@ -219,7 +220,7 @@ let test_model_basic () =
 
 let test_model_resolve_with_new_constraint () =
   let m = Mf.create () in
-  let x = Mf.add_var ~name:"x" m in
+  let x = Mf.add_var m in
   Mf.add_le m [ (x, 1.0) ] 10.0;
   Mf.set_objective m [ (x, 1.0) ];
   let r1 = Mf.solve m in
@@ -227,15 +228,6 @@ let test_model_resolve_with_new_constraint () =
   Mf.add_le m [ (x, 1.0) ] 4.0;
   let r2 = Mf.solve m in
   check_float "second solve" 4.0 r2.Mf.objective
-
-let test_model_tightest_bound_wins () =
-  let m = Mf.create () in
-  let x = Mf.add_var ~name:"x" ~ub:9.0 m in
-  Mf.set_upper_bound m x 3.0;
-  Mf.set_upper_bound m x 7.0;
-  Mf.set_objective m [ (x, 1.0) ];
-  let r = Mf.solve m in
-  check_float "bound 3 wins" 3.0 r.Mf.objective
 
 (* ------------------------------------------------------------------ *)
 (* Property: float and exact agree on random programs                  *)
@@ -533,12 +525,14 @@ let test_revised_bland_counter () =
       Alcotest.(check int) "no bland switches" 0
         (registry_counter "lp.bland_activations"))
 
-(* Random packed-form LPs (all <=, rhs >= 0): both engines must agree. *)
+(* Random packed-form LPs (all <=, rhs >= 0): both engines must agree.
+   Coefficients may be negative, so duplicate indices in a row can sum
+   to zero, which the column build must drop. *)
 let packed_lp_gen =
   let open QCheck2.Gen in
   let* nv = int_range 1 6 in
   let* nrows = int_range 1 8 in
-  let coeff = int_range 0 5 in
+  let coeff = int_range (-3) 5 in
   let row =
     let* terms = list_size (int_range 1 nv) (pair (int_range 0 (nv - 1)) coeff) in
     let* rhs = int_range 0 20 in
@@ -549,7 +543,7 @@ let packed_lp_gen =
   return (nv, obj, rows)
 
 let prop_revised_matches_dense =
-  QCheck2.Test.make ~name:"sparse and dense engines agree on packed LPs" ~count:300
+  QCheck2.Test.make ~name:"revised and dense engines agree on packed LPs" ~count:300
     packed_lp_gen (fun (nv, obj, rows) ->
       let objf = List.map (fun (v, c) -> (v, float_of_int c)) obj in
       let rowsf =
@@ -744,8 +738,8 @@ let test_state_update_validation () =
 let test_model_incremental_handle () =
   with_registry @@ fun () ->
   let m = Mf.create () in
-  let x = Mf.add_var ~name:"x" m in
-  let y = Mf.add_var ~name:"y" m in
+  let x = Mf.add_var m in
+  let y = Mf.add_var m in
   Mf.add_le m [ (x, 1.0) ] 4.0;
   Mf.add_le m [ (y, 2.0) ] 12.0;
   Mf.add_le m [ (x, 3.0); (y, 2.0) ] 18.0;
@@ -770,10 +764,12 @@ let test_model_incremental_handle () =
   (* The builder is not edited through the handle; a cold packed solve
      still sees the original program. *)
   check_float "cold packed solve" 36.0 (Mf.solve_packed m).Mf.objective;
-  (* A [>=] row is outside the packed form: both entry points refuse it
-     rather than fall back to the tableau. *)
-  Mf.add_ge m [ (x, 1.0) ] 1.0;
-  let refused = Invalid_argument "Model.Float: model not in packed inequality form" in
+  (* A negative right-hand side leaves the all-slack start infeasible:
+     both entry points refuse it rather than fall back to the tableau. *)
+  Mf.add_le m [ (x, 1.0) ] (-1.0);
+  let refused =
+    Invalid_argument "Revised_simplex.solve: negative right-hand side"
+  in
   Alcotest.check_raises "solve_packed refuses" refused (fun () ->
       ignore (Mf.solve_packed m));
   Alcotest.check_raises "incremental refuses" refused (fun () ->
@@ -873,8 +869,7 @@ let () =
           Alcotest.test_case "fractional optimum" `Quick test_exact_fractional_optimum ] );
       ( "model",
         [ Alcotest.test_case "basic" `Quick test_model_basic;
-          Alcotest.test_case "incremental resolve" `Quick test_model_resolve_with_new_constraint;
-          Alcotest.test_case "tightest bound" `Quick test_model_tightest_bound_wins ] );
+          Alcotest.test_case "incremental resolve" `Quick test_model_resolve_with_new_constraint ] );
       ( "revised-simplex",
         [ Alcotest.test_case "textbook" `Quick test_revised_textbook;
           Alcotest.test_case "unbounded" `Quick test_revised_unbounded;
