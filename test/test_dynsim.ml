@@ -415,6 +415,14 @@ let test_dynexp_replay_exposes_event_log () =
     Alcotest.(check string) "digest matches engine record" digest
       r0.E.Dynexp.log_digest
 
+let test_dynexp_golden_log () =
+  Golden.log_format "dynamic"
+    ~line:(E.Dynexp.entry_to_line (E.Dynexp.evaluate_index tiny_config 0))
+    ~run:(fun ~out ->
+      match E.Dynexp.run ~domains:1 ~out tiny_config with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "run: %s" msg)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -458,4 +466,6 @@ let () =
           Alcotest.test_case "kill+resume identical" `Quick
             test_dynexp_kill_resume_identical;
           Alcotest.test_case "replay exposes event log" `Quick
-            test_dynexp_replay_exposes_event_log ] ) ]
+            test_dynexp_replay_exposes_event_log;
+          Alcotest.test_case "golden record and manifest" `Quick
+            test_dynexp_golden_log ] ) ]

@@ -574,22 +574,11 @@ let prop_manifest_rejects_torn =
 
 (* --- Golden outputs ------------------------------------------------ *)
 
-(* Set DLS_UPDATE_GOLDEN=<abs dir> to rewrite the expected files instead
-   of comparing (e.g. DLS_UPDATE_GOLDEN=$PWD/test/golden dune runtest). *)
-let golden_check name actual =
-  match Sys.getenv_opt "DLS_UPDATE_GOLDEN" with
-  | Some dir ->
-    Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
-        Out_channel.output_string oc actual)
-  | None ->
-    Alcotest.(check string) name (read_file (Filename.concat "golden" name))
-      actual
-
 let fig5_golden_table =
   lazy (E.Fig5.table (E.Fig5.run ~seed:31 ~ks:[ 4; 6 ] ~per_k:2 ()))
 
 let test_golden_table1_pp () =
-  golden_check "table1_grid.expected"
+  Golden.check "table1_grid.expected"
     (Format.asprintf "%a" E.Report.pp_table (E.Table1.grid_table ()))
 
 let test_golden_table1_csv () =
@@ -597,18 +586,23 @@ let test_golden_table1_csv () =
   E.Report.write_csv ~path (E.Table1.grid_table ());
   let written = read_file path in
   Sys.remove path;
-  golden_check "table1_grid_csv.expected" written
+  Golden.check "table1_grid_csv.expected" written
 
 let test_golden_fig5_pp () =
-  golden_check "fig5_small.expected"
+  Golden.check "fig5_small.expected"
     (Format.asprintf "%a" E.Report.pp_table (Lazy.force fig5_golden_table))
+
+let test_golden_campaign_log () =
+  Golden.log_format "campaign"
+    ~line:(C.entry_to_line (C.evaluate_index small_config 0))
+    ~run:(fun ~out -> ignore (run_lines ~out small_config))
 
 let test_golden_fig5_csv () =
   let path = Filename.temp_file "dls_golden" ".csv" in
   E.Report.write_csv ~path (Lazy.force fig5_golden_table);
   let written = read_file path in
   Sys.remove path;
-  golden_check "fig5_small_csv.expected" written
+  Golden.check "fig5_small_csv.expected" written
 
 let () =
   Alcotest.run "dls_experiments"
@@ -661,4 +655,6 @@ let () =
         [ Alcotest.test_case "table1 pp" `Quick test_golden_table1_pp;
           Alcotest.test_case "table1 csv" `Quick test_golden_table1_csv;
           Alcotest.test_case "fig5 pp" `Quick test_golden_fig5_pp;
-          Alcotest.test_case "fig5 csv" `Quick test_golden_fig5_csv ] ) ]
+          Alcotest.test_case "fig5 csv" `Quick test_golden_fig5_csv;
+          Alcotest.test_case "campaign record and manifest" `Quick
+            test_golden_campaign_log ] ) ]

@@ -32,17 +32,6 @@ let contains sub s =
 let jsonl_lines text =
   String.split_on_char '\n' text |> List.filter (fun l -> String.trim l <> "")
 
-(* Same convention as test_experiments.ml: set DLS_UPDATE_GOLDEN=<abs
-   dir> to rewrite the expected files instead of comparing. *)
-let golden_check name actual =
-  match Sys.getenv_opt "DLS_UPDATE_GOLDEN" with
-  | Some dir ->
-    Out_channel.with_open_bin (Filename.concat dir name) (fun oc ->
-        Out_channel.output_string oc actual)
-  | None ->
-    Alcotest.(check string) name (read_file (Filename.concat "golden" name))
-      actual
-
 (* Every test leaves the global registry and trace buffer the way it
    found them: off and empty.  [quiesce] is also run first thing so a
    crashed earlier test cannot leak state into this one. *)
@@ -972,7 +961,7 @@ let test_golden_chrome_trace () =
   (match J.of_string trace with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "trace is not valid JSON: %s" msg);
-  golden_check "obs_trace.expected" (trace ^ "\n")
+  Golden.check "obs_trace.expected" (trace ^ "\n")
 
 (* Shared by the summary-table and Prometheus goldens: one counter pair,
    a gauge, a populated histogram (with underflow) and an empty one. *)
@@ -985,12 +974,12 @@ let table_fixture =
     ("sim.empty", M.Histogram M.empty_hist) ]
 
 let test_golden_pp_summary () =
-  golden_check "obs_summary.expected"
+  Golden.check "obs_summary.expected"
     (Format.asprintf "%a" M.pp_summary table_fixture)
 
 let test_golden_prometheus () =
   let body = M.to_prometheus table_fixture in
-  golden_check "obs_prometheus.expected" body;
+  Golden.check "obs_prometheus.expected" body;
   (* Cumulative-bucket sanity independent of the golden bytes: the +Inf
      bucket equals the count, and underflow observations are included
      from the first bucket on. *)
@@ -1028,7 +1017,7 @@ let test_golden_flight_dump () =
       | Ok _ -> ()
       | Error e -> Alcotest.failf "dump line is not strict JSON (%s): %S" e l)
     (jsonl_lines dump);
-  golden_check "obs_flight.expected" dump
+  Golden.check "obs_flight.expected" dump
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in

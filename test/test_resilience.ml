@@ -462,6 +462,14 @@ let test_resilience_determinism_across_domains () =
   Alcotest.(check int) "same count" (List.length one) (List.length eight);
   List.iter2 (fun a b -> Alcotest.(check string) "same bytes" a b) one eight
 
+let test_resilience_golden_log () =
+  Golden.log_format "resilience"
+    ~line:(E.Resilience.entry_to_line (E.Resilience.evaluate_index tiny_config 0))
+    ~run:(fun ~out ->
+      match E.Resilience.run ~domains:1 ~out tiny_config with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "run: %s" msg)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -500,4 +508,6 @@ let () =
             test_resilience_warmup_backlog;
           Alcotest.test_case "resume replays" `Quick test_resilience_resume_replays;
           Alcotest.test_case "deterministic across domains" `Quick
-            test_resilience_determinism_across_domains ] ) ]
+            test_resilience_determinism_across_domains;
+          Alcotest.test_case "golden record and manifest" `Quick
+            test_resilience_golden_log ] ) ]
