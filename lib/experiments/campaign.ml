@@ -1,7 +1,6 @@
 module Gen = Dls_platform.Generator
 module Prng = Dls_util.Prng
 module J = Dls_util.Json
-module Parallel = Dls_util.Parallel
 open Dls_core
 
 type config = {
@@ -32,13 +31,9 @@ type record = {
   values : Measure.values;
 }
 
-type entry =
-  | Record of record
+type 'r entry = 'r Engine.entry =
+  | Record of 'r
   | Skipped of { index : int; reason : string }
-
-let entry_index = function
-  | Record r -> r.index
-  | Skipped { index; _ } -> index
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation of one index                                             *)
@@ -149,38 +144,10 @@ let values_to_json (v : Measure.values) =
       ("time_lprg", J.Num v.Measure.time_lprg);
       ("time_lprr", opt_num v.Measure.time_lprr) ]
 
-let entry_to_line = function
-  | Record r ->
-    J.to_string
-      (J.Obj
-         [ ("type", J.Str "record");
-           ("index", J.Num (float_of_int r.index));
-           ("params", params_to_json r.params);
-           ("active_apps", J.Num (float_of_int r.active_apps));
-           ("values", values_to_json r.values) ])
-  | Skipped { index; reason } ->
-    J.to_string
-      (J.Obj
-         [ ("type", J.Str "skipped");
-           ("index", J.Num (float_of_int index));
-           ("reason", J.Str reason) ])
-
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> Error ("missing field \"" ^ name ^ "\"")
-
-let num_field name json =
-  let* v = field name json in
-  J.to_num v
-
-let int_field name json =
-  let* v = field name json in
-  J.to_int v
-
-let str_field name json =
-  let* v = field name json in
-  J.to_str v
+let record_fields r =
+  [ ("params", params_to_json r.params);
+    ("active_apps", J.Num (float_of_int r.active_apps));
+    ("values", values_to_json r.values) ]
 
 let opt_num_field name json =
   match J.member name json with
@@ -190,27 +157,27 @@ let opt_num_field name json =
 let topology_of_json = function
   | J.Str "erdos_renyi" -> Ok Gen.Erdos_renyi
   | J.Obj _ as obj when J.member "waxman" obj <> None ->
-    let* w = field "waxman" obj in
-    let* alpha = num_field "alpha" w in
-    let* beta = num_field "beta" w in
+    let* w = J.field "waxman" obj in
+    let* alpha = J.num_field "alpha" w in
+    let* beta = J.num_field "beta" w in
     Ok (Gen.Waxman { alpha; beta })
   | J.Obj _ as obj when J.member "barabasi_albert" obj <> None ->
-    let* b = field "barabasi_albert" obj in
-    let* m = int_field "m" b in
+    let* b = J.field "barabasi_albert" obj in
+    let* m = J.int_field "m" b in
     Ok (Gen.Barabasi_albert { m })
   | _ -> Error "unknown topology model"
 
 let params_of_json json =
-  let* k = int_field "k" json in
-  let* topology = field "topology" json in
+  let* k = J.int_field "k" json in
+  let* topology = J.field "topology" json in
   let* topology_model = topology_of_json topology in
-  let* connectivity = num_field "connectivity" json in
-  let* heterogeneity = num_field "heterogeneity" json in
-  let* mean_g = num_field "mean_g" json in
-  let* mean_bw = num_field "mean_bw" json in
-  let* mean_maxcon = num_field "mean_maxcon" json in
-  let* speed = num_field "speed" json in
-  let* speed_heterogeneity = num_field "speed_heterogeneity" json in
+  let* connectivity = J.num_field "connectivity" json in
+  let* heterogeneity = J.num_field "heterogeneity" json in
+  let* mean_g = J.num_field "mean_g" json in
+  let* mean_bw = J.num_field "mean_bw" json in
+  let* mean_maxcon = J.num_field "mean_maxcon" json in
+  let* speed = J.num_field "speed" json in
+  let* speed_heterogeneity = J.num_field "speed_heterogeneity" json in
   Ok
     { Gen.k; topology_model; connectivity; heterogeneity; mean_g; mean_bw;
       mean_maxcon; speed; speed_heterogeneity }
@@ -219,136 +186,64 @@ let counters_of_json json =
   match json with
   | J.Null -> Ok None
   | _ ->
-    let* solves = int_field "solves" json in
-    let* warm_starts = int_field "warm_starts" json in
-    let* cold_starts = int_field "cold_starts" json in
-    let* pivots = int_field "pivots" json in
-    let* reinversions = int_field "reinversions" json in
+    let* solves = J.int_field "solves" json in
+    let* warm_starts = J.int_field "warm_starts" json in
+    let* cold_starts = J.int_field "cold_starts" json in
+    let* pivots = J.int_field "pivots" json in
+    let* reinversions = J.int_field "reinversions" json in
     (* Absent in logs written before the anti-cycling counter existed. *)
     let* bland_activations =
       match J.member "bland_activations" json with
       | None -> Ok 0
       | Some v -> J.to_int v
     in
-    let* wall_clock = num_field "wall_clock" json in
+    let* wall_clock = J.num_field "wall_clock" json in
     Ok
       (Some
          { Dls_lp.Revised_simplex.solves; warm_starts; cold_starts; pivots;
            reinversions; bland_activations; wall_clock })
 
 let values_of_json json =
-  let* lp_sum = num_field "lp_sum" json in
-  let* lp_maxmin = num_field "lp_maxmin" json in
-  let* g_sum = num_field "g_sum" json in
-  let* g_maxmin = num_field "g_maxmin" json in
-  let* lpr_sum = num_field "lpr_sum" json in
-  let* lpr_maxmin = num_field "lpr_maxmin" json in
-  let* lprg_sum = num_field "lprg_sum" json in
-  let* lprg_maxmin = num_field "lprg_maxmin" json in
+  let* lp_sum = J.num_field "lp_sum" json in
+  let* lp_maxmin = J.num_field "lp_maxmin" json in
+  let* g_sum = J.num_field "g_sum" json in
+  let* g_maxmin = J.num_field "g_maxmin" json in
+  let* lpr_sum = J.num_field "lpr_sum" json in
+  let* lpr_maxmin = J.num_field "lpr_maxmin" json in
+  let* lprg_sum = J.num_field "lprg_sum" json in
+  let* lprg_maxmin = J.num_field "lprg_maxmin" json in
   let* lprr_sum = opt_num_field "lprr_sum" json in
   let* lprr_maxmin = opt_num_field "lprr_maxmin" json in
-  let* counters_json = field "lprr_counters" json in
+  let* counters_json = J.field "lprr_counters" json in
   let* lprr_counters = counters_of_json counters_json in
-  let* time_lp = num_field "time_lp" json in
-  let* time_g = num_field "time_g" json in
-  let* time_lpr = num_field "time_lpr" json in
-  let* time_lprg = num_field "time_lprg" json in
+  let* time_lp = J.num_field "time_lp" json in
+  let* time_g = J.num_field "time_g" json in
+  let* time_lpr = J.num_field "time_lpr" json in
+  let* time_lprg = J.num_field "time_lprg" json in
   let* time_lprr = opt_num_field "time_lprr" json in
   Ok
     { Measure.lp_sum; lp_maxmin; g_sum; g_maxmin; lpr_sum; lpr_maxmin;
       lprg_sum; lprg_maxmin; lprr_sum; lprr_maxmin; lprr_counters; time_lp;
       time_g; time_lpr; time_lprg; time_lprr }
 
-let entry_of_line line =
-  let* json = J.of_string line in
-  let* kind = str_field "type" json in
-  let* index = int_field "index" json in
-  match kind with
-  | "record" ->
-    let* params_json = field "params" json in
-    let* params = params_of_json params_json in
-    let* active_apps = int_field "active_apps" json in
-    let* values_json = field "values" json in
-    let* values = values_of_json values_json in
-    Ok (Record { index; params; active_apps; values })
-  | "skipped" ->
-    let* reason = str_field "reason" json in
-    Ok (Skipped { index; reason })
-  | other -> Error ("unknown entry type \"" ^ other ^ "\"")
+let record_of_json ~index json =
+  let* params_json = J.field "params" json in
+  let* params = params_of_json params_json in
+  let* active_apps = J.int_field "active_apps" json in
+  let* values_json = J.field "values" json in
+  let* values = values_of_json values_json in
+  Ok { index; params; active_apps; values }
 
-(* ------------------------------------------------------------------ *)
-(* Checkpoint manifest                                                 *)
-(* ------------------------------------------------------------------ *)
+let codec =
+  { Engine.index = (fun r -> r.index);
+    to_fields = record_fields;
+    of_json = record_of_json }
 
-type manifest = {
-  m_config : config;
-  m_total : int;
-  m_completed : int;
-}
+let entry_index = Engine.entry_index codec
 
-let manifest_to_string m =
-  let c = m.m_config in
-  J.to_string
-    (J.Obj
-       [ ("version", J.Num 1.0);
-         ("seed", J.Num (float_of_int c.seed));
-         ("ks", J.Arr (List.map (fun k -> J.Num (float_of_int k)) c.ks));
-         ("per_k", J.Num (float_of_int c.per_k));
-         ("with_lprr", J.Bool c.with_lprr);
-         ("lprr_max_k",
-          (match c.lprr_max_k with
-           | Some m -> J.Num (float_of_int m)
-           | None -> J.Null));
-         ("measure_time", J.Bool c.measure_time);
-         ("total", J.Num (float_of_int m.m_total));
-         ("completed", J.Num (float_of_int m.m_completed)) ])
+let entry_to_line = Engine.entry_to_line codec
 
-let manifest_of_string s =
-  let* json = J.of_string s in
-  let* version = int_field "version" json in
-  if version <> 1 then Error (Printf.sprintf "unsupported manifest version %d" version)
-  else
-    let* seed = int_field "seed" json in
-    let* ks_json = field "ks" json in
-    let* ks_items = J.to_list ks_json in
-    let* ks =
-      List.fold_left
-        (fun acc item ->
-          let* acc = acc in
-          let* k = J.to_int item in
-          Ok (k :: acc))
-        (Ok []) ks_items
-    in
-    let ks = List.rev ks in
-    let* per_k = int_field "per_k" json in
-    let* with_lprr_json = field "with_lprr" json in
-    let* with_lprr = J.to_bool with_lprr_json in
-    let* lprr_max_k =
-      match J.member "lprr_max_k" json with
-      | None | Some J.Null -> Ok None
-      | Some v -> Result.map Option.some (J.to_int v)
-    in
-    let* measure_time_json = field "measure_time" json in
-    let* measure_time = J.to_bool measure_time_json in
-    let* m_total = int_field "total" json in
-    let* m_completed = int_field "completed" json in
-    Ok
-      { m_config = { seed; ks; per_k; with_lprr; lprr_max_k; measure_time };
-        m_total;
-        m_completed }
-
-let manifest_path out = out ^ ".manifest"
-
-let write_manifest ~out m =
-  (* Atomic replace: a crash mid-write can only lose the update, never
-     produce a torn manifest. *)
-  Engine.write_atomic ~path:(manifest_path out) (manifest_to_string m ^ "\n")
-
-(* ------------------------------------------------------------------ *)
-(* Log replay                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let load_log ~path = Engine.load_log ~of_line:entry_of_line ~path
+let entry_of_line = Engine.entry_of_line codec
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
@@ -375,20 +270,23 @@ let validate config =
   else if config.per_k < 0 then Error "campaign: per_k must be >= 0"
   else Ok ()
 
+let config_fields c =
+  [ ("seed", J.Num (float_of_int c.seed));
+    ("ks", J.Arr (List.map (fun k -> J.Num (float_of_int k)) c.ks));
+    ("per_k", J.Num (float_of_int c.per_k));
+    ("with_lprr", J.Bool c.with_lprr);
+    ("lprr_max_k",
+     match c.lprr_max_k with Some m -> J.Num (float_of_int m) | None -> J.Null);
+    ("measure_time", J.Bool c.measure_time) ]
+
 let spec config =
-  let n = total config in
   { Engine.log_label = "campaign";
-    total = n;
-    index_of = entry_index;
-    to_line = entry_to_line;
-    of_line = entry_of_line;
+    total = total config;
+    config = config_fields config;
+    codec;
     evaluate = evaluate_index config;
-    skip_reason =
-      (function Record _ -> None | Skipped { reason; _ } -> Some reason);
     entry_times =
-      (function
-      | Skipped _ -> []
-      | Record r ->
+      (fun r ->
         List.concat
           (List.map2
              (fun label t ->
@@ -396,26 +294,7 @@ let spec config =
              heuristic_labels
              (times_of_values r.values)));
     time_labels = heuristic_labels;
-    log_time_stats = config.measure_time;
-    write_manifest =
-      (fun ~out ~completed ->
-        write_manifest ~out
-          { m_config = config; m_total = n; m_completed = completed });
-    check_manifest =
-      (fun ~path ->
-        let mpath = manifest_path path in
-        if not (Sys.file_exists mpath) then Ok ()
-        else
-          let* m =
-            manifest_of_string
-              (In_channel.with_open_bin mpath In_channel.input_all)
-          in
-          if m.m_config <> config then
-            Error
-              (mpath
-               ^ ": checkpoint belongs to a different campaign config; \
-                  refusing to resume")
-          else Ok ()) }
+    log_time_stats = config.measure_time }
 
 let run ?domains ?chunk ?checkpoint_every ?shards ?shard ?resume ?out ?on_entry
     config =
@@ -455,12 +334,6 @@ let times_table s =
         s.s_times }
 
 let collect ?domains config =
-  let records = ref [] in
-  match
-    run ?domains
-      ~on_entry:(function Record r -> records := r :: !records | Skipped _ -> ())
-      config
-  with
-  | Ok _ ->
-    List.sort (fun a b -> Stdlib.compare a.index b.index) !records
+  match Engine.collect codec (fun ~on_entry -> run ?domains ~on_entry config) with
+  | Ok records -> records
   | Error msg -> invalid_arg ("Campaign.collect: " ^ msg)

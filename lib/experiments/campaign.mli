@@ -5,7 +5,8 @@
     module gives every platform index its own pseudo-random stream
     (derived in O(1) with {!Dls_util.Prng.derive}, so the draws do not
     depend on evaluation order, domain count, or shard partitioning),
-    streams each finished evaluation to an append-only JSONL log, keeps
+    streams each finished evaluation through {!Engine} to an append-only
+    JSONL log, keeps
     a periodic checkpoint manifest next to it, and — after a crash or a
     kill — replays the log to skip finished indices and continue from
     the frontier.  A campaign interrupted at platform 200,000 therefore
@@ -48,54 +49,36 @@ type record = {
   values : Measure.values;
 }
 
-type entry =
-  | Record of record
+type 'r entry = 'r Engine.entry =
+  | Record of 'r
   | Skipped of { index : int; reason : string }
       (** an evaluation that returned [Error] (infeasible heuristic
           output); logged so a resume does not retry it *)
 
-val entry_index : entry -> int
-
-val evaluate_index : config -> int -> entry
+val evaluate_index : config -> int -> record entry
 (** Evaluate one campaign index from scratch: derive its private PRNG
     stream, sample the platform and workload, run every heuristic.
     Pure function of [(config, index)] up to wall-clock fields. *)
 
-(** {2 JSONL record codec}
+(** {2 Log format}
 
-    One entry per line.  [entry_of_line] never raises: torn or
-    partially-flushed lines decode to [Error], which is what lets
-    {!load_log} treat a ragged final line as an interrupted write
-    rather than corruption. *)
+    One {!Engine} log line per entry: [{"type":"record","index":i,
+    "params":...,"active_apps":...,"values":...}] or a skip.  The
+    manifest records [seed], [ks], [per_k], [with_lprr], [lprr_max_k]
+    and [measure_time] ({!spec}). *)
 
-val entry_to_line : entry -> string
+val codec : record Engine.codec
+
+val entry_index : record entry -> int
+
+val entry_to_line : record entry -> string
 (** Single line, no trailing newline. *)
 
-val entry_of_line : string -> (entry, string) result
+val entry_of_line : string -> (record entry, string) result
+(** Never raises: torn lines decode to [Error]. *)
 
-(** {2 Checkpoint manifest} *)
-
-type manifest = {
-  m_config : config;
-  m_total : int;
-  m_completed : int;  (** entries durably in the log when written *)
-}
-
-val manifest_to_string : manifest -> string
-
-val manifest_of_string : string -> (manifest, string) result
-
-val manifest_path : string -> string
-(** [manifest_path out] is [out ^ ".manifest"]; written atomically
-    (temp file + rename) so a crash never leaves a torn manifest. *)
-
-val load_log :
-  path:string -> (entry list * int, string) result
-(** Replay an existing JSONL log: entries in file order, plus the byte
-    length of the valid prefix.  A final line that is unparseable or
-    lacks its trailing newline is dropped (interrupted write); an
-    invalid line {e before} the end is an error — the log is corrupt and
-    resuming would silently lose data. *)
+val spec : config -> record Engine.spec
+(** The campaign as an {!Engine} experiment (labelled ["campaign"]). *)
 
 (** {2 Running} *)
 
@@ -119,37 +102,15 @@ val run :
   ?shard:int ->
   ?resume:bool ->
   ?out:string ->
-  ?on_entry:(entry -> unit) ->
+  ?on_entry:(record entry -> unit) ->
   config ->
   (summary, string) result
-(** [run config] evaluates every pending index and returns the campaign
-    summary.
-
-    - [out]: append each entry as one JSONL line (flushed per chunk) and
-      maintain [manifest_path out].  Without it the campaign is
-      in-memory only ([resume] is then meaningless).
-    - [resume]: replay an existing [out] log first (see {!load_log}),
-      verify it against the manifest's config fingerprint, truncate any
-      torn tail, fire [on_entry] for every replayed entry, and evaluate
-      only the remainder.  Without [resume], an existing [out] is
-      started over from scratch.
-    - [shards]: partition indices round-robin ([index mod shards]);
-      [shard] restricts the run to one partition (for spreading a
-      campaign over processes or machines appending to per-shard logs),
-      otherwise all partitions run sequentially in this process.
-    - [checkpoint_every]: rewrite the manifest after this many newly
-      logged entries (default 256).
-    - [domains]/[chunk]: forwarded to
-      {!Dls_util.Parallel.map_chunked}; memory stays O(chunk).
-    - [on_entry]: called for every entry as it becomes durable, in log
-      order (replayed first, then new entries in evaluation order —
-      index order within a shard).
-
-    Progress (records/s, ETA) is an [engine.progress] {!Dls_obs.Log}
-    record at info level, roughly every two seconds.  Errors (config/manifest mismatch,
-    corrupt log, invalid sharding) return [Error]; exceptions raised by
-    the evaluation itself propagate after the worker pool has joined,
-    and the log remains valid for a later [resume]. *)
+(** [run config] is {!Engine.run} under [spec config] once the config
+    is checked ([ks] non-empty, [per_k >= 0]); the checkpoint, resume,
+    sharding and parallelism contract is the engine's.  Shards let a
+    campaign spread over processes or machines appending to per-shard
+    logs.  Progress (records/s, ETA) is an [engine.progress]
+    {!Dls_obs.Log} record at info level, roughly every two seconds. *)
 
 val summary_table : summary -> Report.table
 (** Campaign totals (records, skips, replay, throughput) as a report

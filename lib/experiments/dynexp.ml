@@ -58,11 +58,9 @@ type record = {
   guard_exhausted : bool;
 }
 
-type entry = Record of record | Skipped of { index : int; reason : string }
-
-let entry_index = function
-  | Record r -> r.index
-  | Skipped { index; _ } -> index
+type 'r entry = 'r Engine.entry =
+  | Record of 'r
+  | Skipped of { index : int; reason : string }
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation of one index                                             *)
@@ -138,160 +136,58 @@ let evaluate_index config index =
 
 let ( let* ) = Result.bind
 
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> Error ("missing field \"" ^ name ^ "\"")
-
-let num_field name json =
-  let* v = field name json in
-  J.to_num v
-
-let int_field name json =
-  let* v = field name json in
-  J.to_int v
-
-let str_field name json =
-  let* v = field name json in
-  J.to_str v
-
-let bool_field name json =
-  let* v = field name json in
-  J.to_bool v
-
 let policy_of_name_res s =
   match Dynamic.policy_of_name s with
   | Some p -> Ok p
   | None -> Error (Printf.sprintf "unknown policy %S" s)
 
-let entry_to_line = function
-  | Record r ->
-    J.to_string
-      (J.Obj
-         [ ("type", J.Str "record");
-           ("index", J.Num (float_of_int r.index));
-           ("platform", J.Num (float_of_int r.platform));
-           ("policy", J.Str (Dynamic.policy_name r.policy));
-           ("jobs", J.Num (float_of_int r.jobs));
-           ("completed", J.Num (float_of_int r.completed));
-           ("unfinished", J.Num (float_of_int r.unfinished));
-           ("makespan", J.Num r.makespan);
-           ("completed_work", J.Num r.completed_work);
-           ("throughput", J.Num r.throughput);
-           ("mean_response", J.Num r.mean_response);
-           ("events", J.Num (float_of_int r.events));
-           ("replans", J.Num (float_of_int r.replans));
-           ("replan_seconds", J.Num r.replan_seconds);
-           ("log_digest", J.Str r.log_digest);
-           ("guard_exhausted", J.Bool r.guard_exhausted) ])
-  | Skipped { index; reason } ->
-    J.to_string
-      (J.Obj
-         [ ("type", J.Str "skipped");
-           ("index", J.Num (float_of_int index));
-           ("reason", J.Str reason) ])
+let record_fields r =
+  [ ("platform", J.Num (float_of_int r.platform));
+    ("policy", J.Str (Dynamic.policy_name r.policy));
+    ("jobs", J.Num (float_of_int r.jobs));
+    ("completed", J.Num (float_of_int r.completed));
+    ("unfinished", J.Num (float_of_int r.unfinished));
+    ("makespan", J.Num r.makespan);
+    ("completed_work", J.Num r.completed_work);
+    ("throughput", J.Num r.throughput);
+    ("mean_response", J.Num r.mean_response);
+    ("events", J.Num (float_of_int r.events));
+    ("replans", J.Num (float_of_int r.replans));
+    ("replan_seconds", J.Num r.replan_seconds);
+    ("log_digest", J.Str r.log_digest);
+    ("guard_exhausted", J.Bool r.guard_exhausted) ]
 
-let entry_of_line line =
-  let* json = J.of_string line in
-  let* kind = str_field "type" json in
-  let* index = int_field "index" json in
-  match kind with
-  | "record" ->
-    let* platform = int_field "platform" json in
-    let* policy_str = str_field "policy" json in
-    let* policy = policy_of_name_res policy_str in
-    let* jobs = int_field "jobs" json in
-    let* completed = int_field "completed" json in
-    let* unfinished = int_field "unfinished" json in
-    let* makespan = num_field "makespan" json in
-    let* completed_work = num_field "completed_work" json in
-    let* throughput = num_field "throughput" json in
-    let* mean_response = num_field "mean_response" json in
-    let* events = int_field "events" json in
-    let* replans = int_field "replans" json in
-    let* replan_seconds = num_field "replan_seconds" json in
-    let* log_digest = str_field "log_digest" json in
-    let* guard_exhausted = bool_field "guard_exhausted" json in
-    Ok
-      (Record
-         { index; platform; policy; jobs; completed; unfinished; makespan;
-           completed_work; throughput; mean_response; events; replans;
-           replan_seconds; log_digest; guard_exhausted })
-  | "skipped" ->
-    let* reason = str_field "reason" json in
-    Ok (Skipped { index; reason })
-  | other -> Error ("unknown entry type \"" ^ other ^ "\"")
+let record_of_json ~index json =
+  let* platform = J.int_field "platform" json in
+  let* policy_str = J.str_field "policy" json in
+  let* policy = policy_of_name_res policy_str in
+  let* jobs = J.int_field "jobs" json in
+  let* completed = J.int_field "completed" json in
+  let* unfinished = J.int_field "unfinished" json in
+  let* makespan = J.num_field "makespan" json in
+  let* completed_work = J.num_field "completed_work" json in
+  let* throughput = J.num_field "throughput" json in
+  let* mean_response = J.num_field "mean_response" json in
+  let* events = J.int_field "events" json in
+  let* replans = J.int_field "replans" json in
+  let* replan_seconds = J.num_field "replan_seconds" json in
+  let* log_digest = J.str_field "log_digest" json in
+  let* guard_exhausted = J.bool_field "guard_exhausted" json in
+  Ok
+    { index; platform; policy; jobs; completed; unfinished; makespan;
+      completed_work; throughput; mean_response; events; replans;
+      replan_seconds; log_digest; guard_exhausted }
 
-(* ------------------------------------------------------------------ *)
-(* Manifest                                                            *)
-(* ------------------------------------------------------------------ *)
+let codec =
+  { Engine.index = (fun r -> r.index);
+    to_fields = record_fields;
+    of_json = record_of_json }
 
-let manifest_to_string config ~completed =
-  J.to_string
-    (J.Obj
-       [ ("version", J.Num 1.0);
-         ("experiment", J.Str "dynamic");
-         ("seed", J.Num (float_of_int config.seed));
-         ("k", J.Num (float_of_int config.k));
-         ("platforms", J.Num (float_of_int config.platforms));
-         ("jobs", J.Num (float_of_int config.jobs));
-         ("rate", J.Num config.rate);
-         ("heavy", J.Bool config.heavy);
-         ( "swf",
-           match config.swf with None -> J.Null | Some path -> J.Str path );
-         ("work_scale", J.Num config.work_scale);
-         ("fault_rate", J.Num config.fault_rate);
-         ( "policies",
-           J.Arr
-             (List.map
-                (fun p -> J.Str (Dynamic.policy_name p))
-                config.policies) );
-         ("measure_time", J.Bool config.measure_time);
-         ("total", J.Num (float_of_int (total config)));
-         ("completed", J.Num (float_of_int completed)) ])
+let entry_index = Engine.entry_index codec
 
-let config_of_manifest s =
-  let* json = J.of_string s in
-  let* version = int_field "version" json in
-  if version <> 1 then
-    Error (Printf.sprintf "unsupported manifest version %d" version)
-  else
-    let* experiment = str_field "experiment" json in
-    if experiment <> "dynamic" then
-      Error (Printf.sprintf "manifest belongs to experiment %S" experiment)
-    else
-      let* seed = int_field "seed" json in
-      let* k = int_field "k" json in
-      let* platforms = int_field "platforms" json in
-      let* jobs = int_field "jobs" json in
-      let* rate = num_field "rate" json in
-      let* heavy = bool_field "heavy" json in
-      let* swf_json = field "swf" json in
-      let* swf =
-        match swf_json with
-        | J.Null -> Ok None
-        | j ->
-          let* s = J.to_str j in
-          Ok (Some s)
-      in
-      let* work_scale = num_field "work_scale" json in
-      let* fault_rate = num_field "fault_rate" json in
-      let* policies_json = field "policies" json in
-      let* policy_items = J.to_list policies_json in
-      let* policies =
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* s = J.to_str item in
-            let* p = policy_of_name_res s in
-            Ok (p :: acc))
-          (Ok []) policy_items
-      in
-      let policies = List.rev policies in
-      let* measure_time = bool_field "measure_time" json in
-      Ok
-        { seed; k; platforms; jobs; rate; heavy; swf; work_scale; fault_rate;
-          policies; measure_time }
+let entry_to_line = Engine.entry_to_line codec
+
+let entry_of_line = Engine.entry_of_line codec
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
@@ -308,40 +204,32 @@ let validate config =
   then Error "dynamic: work_scale must be positive"
   else Ok ()
 
+(* ["experiment"] leads the manifest, as it always has. *)
+let config_fields config =
+  [ ("experiment", J.Str "dynamic");
+    ("seed", J.Num (float_of_int config.seed));
+    ("k", J.Num (float_of_int config.k));
+    ("platforms", J.Num (float_of_int config.platforms));
+    ("jobs", J.Num (float_of_int config.jobs));
+    ("rate", J.Num config.rate);
+    ("heavy", J.Bool config.heavy);
+    ("swf", match config.swf with None -> J.Null | Some path -> J.Str path);
+    ("work_scale", J.Num config.work_scale);
+    ("fault_rate", J.Num config.fault_rate);
+    ("policies",
+     J.Arr
+       (List.map (fun p -> J.Str (Dynamic.policy_name p)) config.policies));
+    ("measure_time", J.Bool config.measure_time) ]
+
 let spec config =
   { Engine.log_label = "dynamic";
     total = total config;
-    index_of = entry_index;
-    to_line = entry_to_line;
-    of_line = entry_of_line;
+    config = config_fields config;
+    codec;
     evaluate = evaluate_index config;
-    skip_reason =
-      (function Record _ -> None | Skipped { reason; _ } -> Some reason);
-    entry_times =
-      (function
-      | Skipped _ -> []
-      | Record r -> [ ("replan", r.replan_seconds) ]);
+    entry_times = (fun r -> [ ("replan", r.replan_seconds) ]);
     time_labels = [ "replan" ];
-    log_time_stats = config.measure_time;
-    write_manifest =
-      (fun ~out ~completed ->
-        Engine.write_atomic ~path:(out ^ ".manifest")
-          (manifest_to_string config ~completed ^ "\n"));
-    check_manifest =
-      (fun ~path ->
-        let mpath = path ^ ".manifest" in
-        if not (Sys.file_exists mpath) then Ok ()
-        else
-          let* c =
-            config_of_manifest
-              (In_channel.with_open_bin mpath In_channel.input_all)
-          in
-          if c <> config then
-            Error
-              (mpath
-               ^ ": checkpoint belongs to a different dynamic config; \
-                  refusing to resume")
-          else Ok ()) }
+    log_time_stats = config.measure_time }
 
 let run ?domains ?chunk ?checkpoint_every ?shards ?shard ?resume ?out ?on_entry
     config =
@@ -350,13 +238,8 @@ let run ?domains ?chunk ?checkpoint_every ?shards ?shard ?resume ?out ?on_entry
     ?on_entry (spec config)
 
 let collect ?domains config =
-  let records = ref [] in
-  match
-    run ?domains
-      ~on_entry:(function Record r -> records := r :: !records | Skipped _ -> ())
-      config
-  with
-  | Ok _ -> List.sort (fun a b -> Stdlib.compare a.index b.index) !records
+  match Engine.collect codec (fun ~on_entry -> run ?domains ~on_entry config) with
+  | Ok records -> records
   | Error msg -> invalid_arg ("Dynexp.collect: " ^ msg)
 
 (* ------------------------------------------------------------------ *)

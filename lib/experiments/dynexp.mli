@@ -62,9 +62,13 @@ type record = {
   guard_exhausted : bool;
 }
 
-type entry = Record of record | Skipped of { index : int; reason : string }
+type 'r entry = 'r Engine.entry =
+  | Record of 'r
+  | Skipped of { index : int; reason : string }
 
-val entry_index : entry -> int
+val codec : record Engine.codec
+
+val entry_index : record entry -> int
 
 val replay : config -> index:int -> (int * Dls_dynsim.Dynamic.result, string) result
 (** Re-run one index outside the Engine, returning the workload length
@@ -72,12 +76,16 @@ val replay : config -> index:int -> (int * Dls_dynsim.Dynamic.result, string) re
     that {!record.log_digest} summarizes.  Used by the CLI's
     [--events] dump and by the determinism tests. *)
 
-val evaluate_index : config -> int -> entry
+val evaluate_index : config -> int -> record entry
 (** Pure function of [(config, index)] up to wall-clock fields — and of
     the SWF file's contents, which must not change across a resume. *)
 
-val entry_to_line : entry -> string
-val entry_of_line : string -> (entry, string) result
+val entry_to_line : record entry -> string
+val entry_of_line : string -> (record entry, string) result
+
+val spec : config -> record Engine.spec
+(** The experiment as an {!Engine} spec (labelled ["dynamic"]); its
+    manifest records ["experiment":"dynamic"] and every config field. *)
 
 val run :
   ?domains:int ->
@@ -87,11 +95,10 @@ val run :
   ?shard:int ->
   ?resume:bool ->
   ?out:string ->
-  ?on_entry:(entry -> unit) ->
+  ?on_entry:(record entry -> unit) ->
   config ->
   (Engine.summary, string) result
-(** {!Engine.run} under this experiment's spec — the same checkpoint,
-    resume and sharding contract as {!Campaign.run}. *)
+(** {!Engine.run} under [spec config] once the config is checked. *)
 
 val collect : ?domains:int -> config -> record list
 (** In-memory run; records in index order.

@@ -3,20 +3,59 @@ module M = Dls_obs.Metrics
 module Trace = Dls_obs.Trace
 module Olog = Dls_obs.Log
 module Flight = Dls_obs.Flight
+module J = Dls_util.Json
+module Wal = Dls_util.Wal
 
-type 'e spec = {
+let ( let* ) = Result.bind
+
+type 'r entry =
+  | Record of 'r
+  | Skipped of { index : int; reason : string }
+
+type 'r codec = {
+  index : 'r -> int;
+  to_fields : 'r -> (string * J.t) list;
+  of_json : index:int -> J.t -> ('r, string) result;
+}
+
+let entry_index codec = function
+  | Record r -> codec.index r
+  | Skipped { index; _ } -> index
+
+let entry_to_line codec e =
+  let kind, fields =
+    match e with
+    | Record r -> ("record", codec.to_fields r)
+    | Skipped { reason; _ } -> ("skipped", [ ("reason", J.Str reason) ])
+  in
+  J.to_string
+    (J.Obj
+       (("type", J.Str kind)
+       :: ("index", J.Num (float_of_int (entry_index codec e)))
+       :: fields))
+
+let entry_of_line codec line =
+  let* json = J.of_string line in
+  let* kind = J.str_field "type" json in
+  let* index = J.int_field "index" json in
+  match kind with
+  | "record" ->
+    let* r = codec.of_json ~index json in
+    Ok (Record r)
+  | "skipped" ->
+    let* reason = J.str_field "reason" json in
+    Ok (Skipped { index; reason })
+  | other -> Error ("unknown entry type \"" ^ other ^ "\"")
+
+type 'r spec = {
   log_label : string;
   total : int;
-  index_of : 'e -> int;
-  to_line : 'e -> string;
-  of_line : string -> ('e, string) result;
-  evaluate : int -> 'e;
-  skip_reason : 'e -> string option;
-  entry_times : 'e -> (string * float) list;
+  config : (string * J.t) list;
+  codec : 'r codec;
+  evaluate : int -> 'r entry;
+  entry_times : 'r -> (string * float) list;
   time_labels : string list;
   log_time_stats : bool;
-  write_manifest : out:string -> completed:int -> unit;
-  check_manifest : path:string -> (unit, string) result;
 }
 
 type summary = {
@@ -29,14 +68,47 @@ type summary = {
   s_times : (string * float array) list;
 }
 
-let ( let* ) = Result.bind
+(* ------------------------------------------------------------------ *)
+(* Checkpoint manifest                                                 *)
+(* ------------------------------------------------------------------ *)
 
-(* The JSONL/torn-tail/atomic-manifest machinery lives in
-   {!Dls_util.Wal} (the daemon journals through the same code); these
-   aliases keep the Engine API stable for the experiment specs. *)
-let load_log ~of_line ~path = Dls_util.Wal.load ~of_line ~path
+let manifest_path out = out ^ ".manifest"
 
-let write_atomic ~path content = Dls_util.Wal.write_atomic ~path content
+(* Everything the manifest records except [completed], which is the
+   only field a resume may find different. *)
+let manifest_key spec =
+  (("version", J.Num 1.0) :: spec.config)
+  @ [ ("total", J.Num (float_of_int spec.total)) ]
+
+let write_manifest spec ~out ~completed =
+  Wal.write_atomic ~path:(manifest_path out)
+    (J.to_string
+       (J.Obj
+          (manifest_key spec
+          @ [ ("completed", J.Num (float_of_int completed)) ]))
+    ^ "\n")
+
+let check_manifest spec ~out =
+  let mpath = manifest_path out in
+  if not (Sys.file_exists mpath) then Ok ()
+  else
+    let* recorded =
+      Result.map_error
+        (fun e -> mpath ^ ": " ^ e)
+        (J.of_string (In_channel.with_open_bin mpath In_channel.input_all))
+    in
+    match recorded with
+    | J.Obj fields when List.remove_assoc "completed" fields = manifest_key spec ->
+      Ok ()
+    | _ ->
+      Error
+        (Printf.sprintf
+           "%s: checkpoint belongs to a different %s config; refusing to resume"
+           mpath spec.log_label)
+
+(* ------------------------------------------------------------------ *)
+(* Running                                                             *)
+(* ------------------------------------------------------------------ *)
 
 let validate spec ~shards ~shard =
   if spec.total < 0 then Error (spec.log_label ^ ": negative total")
@@ -58,9 +130,11 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
   let* replayed =
     match out with
     | Some path when resume && Sys.file_exists path ->
-      let* () = spec.check_manifest ~path in
-      let* entries, valid_len = load_log ~of_line:spec.of_line ~path in
-      let dropped = Dls_util.Wal.truncate_torn ~path ~valid_len in
+      let* () = check_manifest spec ~out:path in
+      let* entries, valid_len =
+        Wal.load ~of_line:(entry_of_line spec.codec) ~path
+      in
+      let dropped = Wal.truncate_torn ~path ~valid_len in
       if dropped > 0 && Olog.enabled Olog.Warn then
         Olog.warn "engine.torn_tail"
           ~fields:
@@ -71,7 +145,7 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
         List.fold_left
           (fun acc e ->
             let* acc = acc in
-            let i = spec.index_of e in
+            let i = entry_index spec.codec e in
             if i < 0 || i >= n then
               Error
                 (Printf.sprintf
@@ -81,9 +155,7 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
             else if status.(i) <> `Pending then Ok acc (* duplicate *)
             else begin
               status.(i) <-
-                (match spec.skip_reason e with
-                | None -> `Record
-                | Some _ -> `Skipped);
+                (match e with Record _ -> `Record | Skipped _ -> `Skipped);
               Ok (e :: acc)
             end)
           (Ok []) entries
@@ -92,7 +164,7 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
     | Some path ->
       (* Fresh start: clear stale artifacts of a previous run. *)
       if Sys.file_exists path then Sys.remove path;
-      let mpath = path ^ ".manifest" in
+      let mpath = manifest_path path in
       if Sys.file_exists mpath then Sys.remove mpath;
       Ok []
     | None -> Ok []
@@ -113,12 +185,12 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
     List.fold_left (fun acc s -> acc + Array.length (pending_of s)) 0
       shards_to_run
   in
-  let oc = Option.map (fun path -> Dls_util.Wal.open_append ~path) out in
+  let oc = Option.map (fun path -> Wal.open_append ~path) out in
   let logged_total = ref replayed_n in
   let checkpoint () =
     match out with
     | Some path ->
-      spec.write_manifest ~out:path ~completed:!logged_total;
+      write_manifest spec ~out:path ~completed:!logged_total;
       if Olog.enabled Olog.Debug then
         Olog.debug "engine.checkpoint"
           ~fields:
@@ -146,12 +218,12 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
   let handle_entry e =
     (match oc with
     | Some oc ->
-      output_string oc (spec.to_line e);
+      output_string oc (entry_to_line spec.codec e);
       output_char oc '\n'
     | None -> ());
-    (match spec.skip_reason e with
-    | None ->
-      status.(spec.index_of e) <- `Record;
+    (match e with
+    | Record r ->
+      status.(spec.codec.index r) <- `Record;
       M.incr m_entries;
       List.iter
         (fun (label, t) ->
@@ -161,15 +233,15 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
           match List.assoc_opt label time_hists with
           | Some h -> M.observe h t
           | None -> ())
-        (spec.entry_times e)
-    | Some reason ->
-      status.(spec.index_of e) <- `Skipped;
+        (spec.entry_times r)
+    | Skipped { index; reason } ->
+      status.(index) <- `Skipped;
       M.incr m_skipped;
       if Olog.enabled Olog.Warn then
         Olog.warn "engine.entry.skipped"
           ~fields:
             [ ("experiment", Olog.Str spec.log_label);
-              ("index", Olog.Int (spec.index_of e));
+              ("index", Olog.Int index);
               ("reason", Olog.Str reason) ]);
     incr evaluated;
     incr since_checkpoint;
@@ -273,3 +345,14 @@ let run ?domains ?chunk ?(checkpoint_every = 256) ?(shards = 1) ?shard
       s_replayed = replayed_n;
       s_wall = wall;
       s_times = times }
+
+let collect codec run =
+  let records = ref [] in
+  Result.map
+    (fun (_ : summary) ->
+      List.sort
+        (fun a b -> Int.compare (codec.index a) (codec.index b))
+        !records)
+    (run ~on_entry:(function
+       | Record r -> records := r :: !records
+       | Skipped _ -> ()))

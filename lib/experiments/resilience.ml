@@ -47,11 +47,9 @@ type record = {
   results : (Heuristics.t * hres option) list;
 }
 
-type entry = Record of record | Skipped of { index : int; reason : string }
-
-let entry_index = function
-  | Record r -> r.index
-  | Skipped { index; _ } -> index
+type 'r entry = 'r Engine.entry =
+  | Record of 'r
+  | Skipped of { index : int; reason : string }
 
 (* ------------------------------------------------------------------ *)
 (* Evaluation of one index                                             *)
@@ -163,142 +161,59 @@ let hres_to_json = function
         ("killed", J.Num (float_of_int h.killed));
         ("stalled", J.Num (float_of_int h.stalled)) ]
 
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> Error ("missing field \"" ^ name ^ "\"")
-
-let num_field name json =
-  let* v = field name json in
-  J.to_num v
-
-let int_field name json =
-  let* v = field name json in
-  J.to_int v
-
-let str_field name json =
-  let* v = field name json in
-  J.to_str v
-
 let hres_of_json = function
   | J.Null -> Ok None
   | json ->
-    let* predicted = num_field "predicted" json in
-    let* baseline = num_field "baseline" json in
-    let* faulted = num_field "faulted" json in
-    let* repaired = num_field "repaired" json in
-    let* stage_str = str_field "stage" json in
+    let* predicted = J.num_field "predicted" json in
+    let* baseline = J.num_field "baseline" json in
+    let* faulted = J.num_field "faulted" json in
+    let* repaired = J.num_field "repaired" json in
+    let* stage_str = J.str_field "stage" json in
     let* stage = stage_of_name stage_str in
-    let* repair_seconds = num_field "repair_seconds" json in
-    let* killed = int_field "killed" json in
-    let* stalled = int_field "stalled" json in
+    let* repair_seconds = J.num_field "repair_seconds" json in
+    let* killed = J.int_field "killed" json in
+    let* stalled = J.int_field "stalled" json in
     Ok
       (Some
          { predicted; baseline; faulted; repaired; stage; repair_seconds;
            killed; stalled })
 
-let entry_to_line = function
-  | Record r ->
-    J.to_string
-      (J.Obj
-         [ ("type", J.Str "record");
-           ("index", J.Num (float_of_int r.index));
-           ("rate", J.Num r.rate);
-           ("fault_events", J.Num (float_of_int r.fault_events));
-           ("downtime", J.Num r.downtime);
-           ("results",
-            J.Obj
-              (List.map
-                 (fun (h, res) -> (Heuristics.name h, hres_to_json res))
-                 r.results)) ])
-  | Skipped { index; reason } ->
-    J.to_string
-      (J.Obj
-         [ ("type", J.Str "skipped");
-           ("index", J.Num (float_of_int index));
-           ("reason", J.Str reason) ])
+let record_fields r =
+  [ ("rate", J.Num r.rate);
+    ("fault_events", J.Num (float_of_int r.fault_events));
+    ("downtime", J.Num r.downtime);
+    ("results",
+     J.Obj
+       (List.map
+          (fun (h, res) -> (Heuristics.name h, hres_to_json res))
+          r.results)) ]
 
-let entry_of_line line =
-  let* json = J.of_string line in
-  let* kind = str_field "type" json in
-  let* index = int_field "index" json in
-  match kind with
-  | "record" ->
-    let* rate = num_field "rate" json in
-    let* fault_events = int_field "fault_events" json in
-    let* downtime = num_field "downtime" json in
-    let* results_json = field "results" json in
-    let* results =
-      List.fold_left
-        (fun acc h ->
-          let* acc = acc in
-          let* res_json = field (Heuristics.name h) results_json in
-          let* res = hres_of_json res_json in
-          Ok ((h, res) :: acc))
-        (Ok []) Heuristics.all
-    in
-    Ok (Record { index; rate; fault_events; downtime; results = List.rev results })
-  | "skipped" ->
-    let* reason = str_field "reason" json in
-    Ok (Skipped { index; reason })
-  | other -> Error ("unknown entry type \"" ^ other ^ "\"")
+let record_of_json ~index json =
+  let* rate = J.num_field "rate" json in
+  let* fault_events = J.int_field "fault_events" json in
+  let* downtime = J.num_field "downtime" json in
+  let* results_json = J.field "results" json in
+  let* results =
+    List.fold_left
+      (fun acc h ->
+        let* acc = acc in
+        let* res_json = J.field (Heuristics.name h) results_json in
+        let* res = hres_of_json res_json in
+        Ok ((h, res) :: acc))
+      (Ok []) Heuristics.all
+  in
+  Ok { index; rate; fault_events; downtime; results = List.rev results }
 
-(* ------------------------------------------------------------------ *)
-(* Manifest                                                            *)
-(* ------------------------------------------------------------------ *)
+let codec =
+  { Engine.index = (fun r -> r.index);
+    to_fields = record_fields;
+    of_json = record_of_json }
 
-let policy_name = function Faults.Stall -> "stall" | Faults.Kill -> "kill"
+let entry_index = Engine.entry_index codec
 
-let policy_of_name = function
-  | "stall" -> Ok Faults.Stall
-  | "kill" -> Ok Faults.Kill
-  | s -> Error (Printf.sprintf "unknown fault policy %S" s)
+let entry_to_line = Engine.entry_to_line codec
 
-let manifest_to_string config ~completed =
-  J.to_string
-    (J.Obj
-       [ ("version", J.Num 1.0);
-         ("experiment", J.Str "resilience");
-         ("seed", J.Num (float_of_int config.seed));
-         ("k", J.Num (float_of_int config.k));
-         ("rates", J.Arr (List.map (fun r -> J.Num r) config.rates));
-         ("per_rate", J.Num (float_of_int config.per_rate));
-         ("periods", J.Num (float_of_int config.periods));
-         ("policy", J.Str (policy_name config.policy));
-         ("measure_time", J.Bool config.measure_time);
-         ("total", J.Num (float_of_int (total config)));
-         ("completed", J.Num (float_of_int completed)) ])
-
-let config_of_manifest s =
-  let* json = J.of_string s in
-  let* version = int_field "version" json in
-  if version <> 1 then
-    Error (Printf.sprintf "unsupported manifest version %d" version)
-  else
-    let* experiment = str_field "experiment" json in
-    if experiment <> "resilience" then
-      Error (Printf.sprintf "manifest belongs to experiment %S" experiment)
-    else
-      let* seed = int_field "seed" json in
-      let* k = int_field "k" json in
-      let* rates_json = field "rates" json in
-      let* rates_items = J.to_list rates_json in
-      let* rates =
-        List.fold_left
-          (fun acc item ->
-            let* acc = acc in
-            let* r = J.to_num item in
-            Ok (r :: acc))
-          (Ok []) rates_items
-      in
-      let rates = List.rev rates in
-      let* per_rate = int_field "per_rate" json in
-      let* periods = int_field "periods" json in
-      let* policy_str = str_field "policy" json in
-      let* policy = policy_of_name policy_str in
-      let* measure_time_json = field "measure_time" json in
-      let* measure_time = J.to_bool measure_time_json in
-      Ok { seed; k; rates; per_rate; periods; policy; measure_time }
+let entry_of_line = Engine.entry_of_line codec
 
 (* ------------------------------------------------------------------ *)
 (* Running                                                             *)
@@ -312,44 +227,33 @@ let validate config =
   else if config.periods < 3 then Error "resilience: periods must be >= 3"
   else Ok ()
 
+let policy_name = function Faults.Stall -> "stall" | Faults.Kill -> "kill"
+
+(* ["experiment"] leads the manifest, as it always has. *)
+let config_fields config =
+  [ ("experiment", J.Str "resilience");
+    ("seed", J.Num (float_of_int config.seed));
+    ("k", J.Num (float_of_int config.k));
+    ("rates", J.Arr (List.map (fun r -> J.Num r) config.rates));
+    ("per_rate", J.Num (float_of_int config.per_rate));
+    ("periods", J.Num (float_of_int config.periods));
+    ("policy", J.Str (policy_name config.policy));
+    ("measure_time", J.Bool config.measure_time) ]
+
 let spec config =
   { Engine.log_label = "resilience";
     total = total config;
-    index_of = entry_index;
-    to_line = entry_to_line;
-    of_line = entry_of_line;
+    config = config_fields config;
+    codec;
     evaluate = evaluate_index config;
-    skip_reason =
-      (function Record _ -> None | Skipped { reason; _ } -> Some reason);
     entry_times =
-      (function
-      | Skipped _ -> []
-      | Record r ->
+      (fun r ->
         List.filter_map
           (fun (_, res) ->
             Option.map (fun h -> ("repair", h.repair_seconds)) res)
           r.results);
     time_labels = [ "repair" ];
-    log_time_stats = config.measure_time;
-    write_manifest =
-      (fun ~out ~completed ->
-        Engine.write_atomic ~path:(out ^ ".manifest")
-          (manifest_to_string config ~completed ^ "\n"));
-    check_manifest =
-      (fun ~path ->
-        let mpath = path ^ ".manifest" in
-        if not (Sys.file_exists mpath) then Ok ()
-        else
-          let* c =
-            config_of_manifest
-              (In_channel.with_open_bin mpath In_channel.input_all)
-          in
-          if c <> config then
-            Error
-              (mpath
-               ^ ": checkpoint belongs to a different resilience config; \
-                  refusing to resume")
-          else Ok ()) }
+    log_time_stats = config.measure_time }
 
 let run ?domains ?chunk ?checkpoint_every ?shards ?shard ?resume ?out ?on_entry
     config =
@@ -358,13 +262,8 @@ let run ?domains ?chunk ?checkpoint_every ?shards ?shard ?resume ?out ?on_entry
     ?on_entry (spec config)
 
 let collect ?domains config =
-  let records = ref [] in
-  match
-    run ?domains
-      ~on_entry:(function Record r -> records := r :: !records | Skipped _ -> ())
-      config
-  with
-  | Ok _ -> List.sort (fun a b -> Stdlib.compare a.index b.index) !records
+  match Engine.collect codec (fun ~on_entry -> run ?domains ~on_entry config) with
+  | Ok records -> records
   | Error msg -> invalid_arg ("Resilience.collect: " ^ msg)
 
 (* ------------------------------------------------------------------ *)

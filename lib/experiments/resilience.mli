@@ -60,17 +60,26 @@ type record = {
           failed *)
 }
 
-type entry = Record of record | Skipped of { index : int; reason : string }
+type 'r entry = 'r Engine.entry =
+  | Record of 'r
+  | Skipped of { index : int; reason : string }
 
-val entry_index : entry -> int
+val codec : record Engine.codec
 
-val evaluate_index : config -> int -> entry
+val entry_index : record entry -> int
+
+val evaluate_index : config -> int -> record entry
 (** Pure function of [(config, index)] up to wall-clock fields: the
     platform, workload, and fault plan all come from streams derived
     from the config seed and the index. *)
 
-val entry_to_line : entry -> string
-val entry_of_line : string -> (entry, string) result
+val entry_to_line : record entry -> string
+val entry_of_line : string -> (record entry, string) result
+
+val spec : config -> record Engine.spec
+(** The experiment as an {!Engine} spec (labelled ["resilience"]); its
+    manifest records ["experiment":"resilience"] and every config
+    field. *)
 
 val run :
   ?domains:int ->
@@ -80,11 +89,10 @@ val run :
   ?shard:int ->
   ?resume:bool ->
   ?out:string ->
-  ?on_entry:(entry -> unit) ->
+  ?on_entry:(record entry -> unit) ->
   config ->
   (Engine.summary, string) result
-(** {!Engine.run} under this experiment's spec — the same checkpoint,
-    resume and sharding contract as {!Campaign.run}. *)
+(** {!Engine.run} under [spec config] once the config is checked. *)
 
 val collect : ?domains:int -> config -> record list
 (** In-memory run; records in index order.

@@ -412,39 +412,29 @@ let value_to_json (name, v) =
                 J.Arr [ J.Num (float_of_int i); J.Num (float_of_int c) ])
               hs.hs_buckets)) ]
 
-let field name json =
-  match J.member name json with
-  | Some v -> Ok v
-  | None -> Error ("missing field \"" ^ name ^ "\"")
-
-let int_field name json = Result.bind (field name json) J.to_int
-
-let str_field name json = Result.bind (field name json) J.to_str
-
 let edge_field name ~empty json =
-  match J.member name json with
-  | None -> Error ("missing field \"" ^ name ^ "\"")
-  | Some J.Null -> Ok empty
-  | Some v -> J.to_num v
+  match J.field name json with
+  | Ok J.Null -> Ok empty
+  | v -> Result.bind v J.to_num
 
 let value_of_json json =
-  let* name = str_field "metric" json in
-  let* kind = str_field "type" json in
+  let* name = J.str_field "metric" json in
+  let* kind = J.str_field "type" json in
   match kind with
   | "counter" ->
-    let* n = int_field "value" json in
+    let* n = J.int_field "value" json in
     Ok (name, Counter n)
   | "gauge" ->
     let* value = edge_field "value" ~empty:Float.nan json in
-    let* seq = int_field "seq" json in
+    let* seq = J.int_field "seq" json in
     Ok (name, Gauge { value; seq })
   | "histogram" ->
-    let* hs_count = int_field "count" json in
-    let* hs_underflow = int_field "underflow" json in
+    let* hs_count = J.int_field "count" json in
+    let* hs_underflow = J.int_field "underflow" json in
     let* hs_sum = edge_field "sum" ~empty:0.0 json in
     let* hs_min = edge_field "min" ~empty:infinity json in
     let* hs_max = edge_field "max" ~empty:neg_infinity json in
-    let* buckets_json = field "buckets" json in
+    let* buckets_json = J.field "buckets" json in
     let* items = J.to_list buckets_json in
     let* hs_buckets =
       List.fold_left

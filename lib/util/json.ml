@@ -328,3 +328,16 @@ let to_bool = function
 let to_list = function
   | Arr items -> Ok items
   | t -> Error ("expected array, got " ^ type_name t)
+
+let field name json =
+  match member name json with
+  | Some v -> Ok v
+  | None -> Error ("missing field \"" ^ name ^ "\"")
+
+let num_field name json = Result.bind (field name json) to_num
+
+let int_field name json = Result.bind (field name json) to_int
+
+let str_field name json = Result.bind (field name json) to_str
+
+let bool_field name json = Result.bind (field name json) to_bool

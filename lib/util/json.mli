@@ -1,5 +1,5 @@
-(** Minimal strict JSON, used by the campaign runner's append-only JSONL
-    record log and checkpoint manifest.
+(** Minimal strict JSON, used by the experiment engine's append-only
+    JSONL record log and checkpoint manifest.
 
     Deliberately dependency-free and line-oriented: {!to_string} always
     produces a single compact line (no embedded newlines, even inside
@@ -49,3 +49,19 @@ val to_str : t -> (string, string) result
 val to_bool : t -> (bool, string) result
 
 val to_list : t -> (t list, string) result
+
+(** {2 Object fields}
+
+    [field name json] is the member [name] of an object, or
+    [Error "missing field \"name\""]; the typed variants compose it with
+    the matching conversion above. *)
+
+val field : string -> t -> (t, string) result
+
+val num_field : string -> t -> (float, string) result
+
+val int_field : string -> t -> (int, string) result
+
+val str_field : string -> t -> (string, string) result
+
+val bool_field : string -> t -> (bool, string) result

@@ -361,8 +361,8 @@ let test_dynexp_kill_resume_identical () =
     |> List.filter (fun l -> l <> "")
   in
   let sorted_records out =
-    match E.Engine.load_log ~of_line:E.Dynexp.entry_of_line ~path:out with
-    | Error msg -> Alcotest.failf "load_log: %s" msg
+    match Dls_util.Wal.load ~of_line:E.Dynexp.entry_of_line ~path:out with
+    | Error msg -> Alcotest.failf "Wal.load: %s" msg
     | Ok (entries, _) ->
       List.sort
         (fun a b ->

@@ -315,7 +315,7 @@ let test_campaign_deterministic_across_shards () =
   let l4 = sort_by_index (file_lines out4) in
   Alcotest.(check (list string)) "1 vs 4 shards byte-identical after sort" l1 l4;
   List.iter Sys.remove
-    [ out1; out4; C.manifest_path out1; C.manifest_path out4 ]
+    [ out1; out4; E.Engine.manifest_path out1; E.Engine.manifest_path out4 ]
 
 let test_campaign_single_shard_runs_its_slice () =
   let _, lines = run_lines ~shards:3 ~shard:1 small_config in
@@ -356,7 +356,7 @@ let test_campaign_crash_resume () =
   let merged = sort_by_index (file_lines out) in
   Alcotest.(check (list string)) "merged log equals uninterrupted run"
     baseline merged;
-  List.iter Sys.remove [ out; C.manifest_path out ]
+  List.iter Sys.remove [ out; E.Engine.manifest_path out ]
 
 let test_campaign_resume_rejects_mismatch () =
   let out = Filename.temp_file "dls_campaign" ".jsonl" in
@@ -366,7 +366,7 @@ let test_campaign_resume_rejects_mismatch () =
    with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "resume accepted a different campaign config");
-  List.iter Sys.remove [ out; C.manifest_path out ]
+  List.iter Sys.remove [ out; E.Engine.manifest_path out ]
 
 let test_campaign_corrupt_middle_rejected () =
   let out = Filename.temp_file "dls_campaign" ".jsonl" in
@@ -386,7 +386,7 @@ let test_campaign_corrupt_middle_rejected () =
      Alcotest.(check bool) "mentions corruption" true
        (String.length msg > 0)
    | Ok _ -> Alcotest.fail "resume accepted a corrupt mid-log entry");
-  List.iter Sys.remove [ out; C.manifest_path out ]
+  List.iter Sys.remove [ out; E.Engine.manifest_path out ]
 
 (* The engine reports on the structured log, once per event: a skipped
    entry is one [engine.entry.skipped] record (and is not reported
@@ -397,21 +397,18 @@ let test_engine_log_records () =
   let spec =
     { E.Engine.log_label = "toy";
       total = 6;
-      index_of = Fun.id;
-      to_line = Printf.sprintf "{\"i\":%d}";
-      of_line =
-        (fun l ->
-          Result.bind (Dls_util.Json.of_string l) (fun j ->
-              match Dls_util.Json.member "i" j with
-              | Some v -> Dls_util.Json.to_int v
-              | None -> Error "no index"));
-      evaluate = Fun.id;
-      skip_reason = (fun i -> if i = 3 then Some "toy skip" else None);
+      config = [ ("size", Dls_util.Json.Num 6.0) ];
+      codec =
+        { E.Engine.index = Fun.id;
+          to_fields = (fun _ -> []);
+          of_json = (fun ~index _ -> Ok index) };
+      evaluate =
+        (fun i ->
+          if i = 3 then E.Engine.Skipped { index = i; reason = "toy skip" }
+          else E.Engine.Record i);
       entry_times = (fun _ -> []);
       time_labels = [];
-      log_time_stats = false;
-      write_manifest = (fun ~out:_ ~completed:_ -> ());
-      check_manifest = (fun ~path:_ -> Ok ()) }
+      log_time_stats = false }
   in
   let out = Filename.temp_file "dls_engine" ".jsonl" in
   let run ~resume =
@@ -428,7 +425,7 @@ let test_engine_log_records () =
     Alcotest.(check (option int)) "names the index" (Some 3)
       (Log_capture.int "index" r)
   | rs -> Alcotest.failf "%d skip records, want 1" (List.length rs));
-  let torn = "{\"i\":7" in
+  let torn = "{\"type\":\"record\",\"index\":7" in
   Out_channel.with_open_gen [ Open_wronly; Open_append ] 0o644 out (fun oc ->
       Out_channel.output_string oc torn);
   let s, records = Log_capture.records (fun () -> run ~resume:true) in
@@ -441,7 +438,7 @@ let test_engine_log_records () =
       (Some (String.length torn))
       (Log_capture.int "dropped_bytes" r)
   | rs -> Alcotest.failf "%d warn records on resume, want 1" (List.length rs));
-  Sys.remove out
+  List.iter Sys.remove [ out; E.Engine.manifest_path out ]
 
 (* --- QCheck codecs ------------------------------------------------- *)
 
@@ -549,28 +546,138 @@ let gen_config =
     let* measure_time = bool in
     return { C.seed; ks; per_k; with_lprr; lprr_max_k; measure_time })
 
-let prop_manifest_roundtrip =
-  QCheck2.Test.make ~name:"manifest decode inverts encode" ~count:300
-    QCheck2.Gen.(
-      let* m_config = gen_config in
-      let* m_total = int_range 0 1_000_000 in
-      let* m_completed = int_range 0 1_000_000 in
-      return { C.m_config; m_total; m_completed })
-    (fun m -> C.manifest_of_string (C.manifest_to_string m) = Ok m)
+(* --- Resume check, per experiment ----------------------------------- *)
 
-let prop_manifest_rejects_torn =
-  QCheck2.Test.make ~name:"manifest decoder rejects torn input" ~count:100
-    QCheck2.Gen.(pair gen_config (float_range 0.0 1.0))
-    (fun (config, frac) ->
-      let s =
-        C.manifest_to_string
-          { C.m_config = config; m_total = 10; m_completed = 3 }
-      in
-      let cut = int_of_float (frac *. float_of_int (String.length s)) in
-      let cut = Stdlib.min cut (String.length s - 1) in
-      match C.manifest_of_string (String.sub s 0 cut) with
-      | Error _ -> true
-      | Ok _ -> false)
+(* An experiment's real spec with an evaluator that skips every index:
+   a run then writes that experiment's own manifest (and a log of skips)
+   at no cost, and a resume either replays everything or is refused
+   before it evaluates anything. *)
+let stubbed spec =
+  { spec with
+    E.Engine.evaluate = (fun index -> E.Engine.Skipped { index; reason = "stub" }) }
+
+let with_log spec f =
+  let out = Filename.temp_file "dls_resume" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ out; E.Engine.manifest_path out ])
+    (fun () ->
+      match E.Engine.run ~domains:1 ~out (stubbed spec) with
+      | Ok _ -> f out
+      | Error msg -> QCheck2.Test.fail_reportf "fresh run: %s" msg)
+
+let resume ~out spec = E.Engine.run ~domains:1 ~resume:true ~out (stubbed spec)
+
+(* Three properties over one experiment: [spec] builds its Engine spec
+   from a config and [variants c] lists configs that each differ from
+   [c] in exactly one field. *)
+let resume_props name gen spec variants =
+  [ QCheck2.Test.make ~count:50 gen
+      ~name:(name ^ ": resume accepts the manifest it wrote")
+      (fun c ->
+        with_log (spec c) (fun out ->
+            match resume ~out (spec c) with
+            | Ok s ->
+              s.E.Engine.s_evaluated = 0
+              && s.E.Engine.s_replayed = (spec c).E.Engine.total
+            | Error _ -> false));
+    QCheck2.Test.make ~count:50 gen
+      ~name:(name ^ ": resume refuses a config differing in one field")
+      (fun c ->
+        with_log (spec c) (fun out ->
+            List.for_all
+              (fun v -> Result.is_error (resume ~out (spec v)))
+              (variants c)));
+    (* The manifest's last byte is its newline: every shorter prefix
+       cuts the JSON value itself. *)
+    QCheck2.Test.make ~count:10 gen
+      ~name:(name ^ ": resume refuses a manifest cut at any byte")
+      (fun c ->
+        with_log (spec c) (fun out ->
+            let mpath = E.Engine.manifest_path out in
+            let m = read_file mpath in
+            List.for_all
+              (fun cut ->
+                Out_channel.with_open_bin mpath (fun oc ->
+                    Out_channel.output_string oc (String.sub m 0 cut));
+                Result.is_error (resume ~out (spec c)))
+              (List.init (String.length m - 1) Fun.id))) ]
+
+let campaign_resume_props =
+  resume_props "campaign" gen_config C.spec (fun c ->
+      [ { c with C.seed = c.C.seed + 1 };
+        { c with C.ks = c.C.ks @ [ 1 ] };
+        { c with C.per_k = c.C.per_k + 1 };
+        { c with C.with_lprr = not c.C.with_lprr };
+        { c with
+          C.lprr_max_k =
+            (match c.C.lprr_max_k with None -> Some 1 | Some _ -> None) };
+        { c with C.measure_time = not c.C.measure_time } ])
+
+module Dx = E.Dynexp
+module Dyn = Dls_dynsim.Dynamic
+
+let gen_dynexp_config =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* k = int_range 1 20 in
+    let* platforms = int_range 0 8 in
+    let* jobs = int_range 0 100 in
+    let* rate = float_range 0.01 10.0 in
+    let* heavy = bool in
+    let* swf = option (string_size ~gen:printable (int_range 0 12)) in
+    let* work_scale = float_range 0.1 10.0 in
+    let* fault_rate = float_range 0.0 1.0 in
+    let* policies = shuffle_l Dyn.all_policies in
+    let* n = int_range 1 (List.length policies) in
+    let* measure_time = bool in
+    return
+      { Dx.seed; k; platforms; jobs; rate; heavy; swf; work_scale; fault_rate;
+        policies = List.filteri (fun i _ -> i < n) policies; measure_time })
+
+let dynexp_resume_props =
+  resume_props "dynamic" gen_dynexp_config Dx.spec (fun c ->
+      [ { c with Dx.seed = c.Dx.seed + 1 };
+        { c with Dx.k = c.Dx.k + 1 };
+        { c with Dx.platforms = c.Dx.platforms + 1 };
+        { c with Dx.jobs = c.Dx.jobs + 1 };
+        { c with Dx.rate = c.Dx.rate *. 2.0 };
+        { c with Dx.heavy = not c.Dx.heavy };
+        { c with
+          Dx.swf = (match c.Dx.swf with None -> Some "t.swf" | Some _ -> None) };
+        { c with Dx.work_scale = c.Dx.work_scale *. 2.0 };
+        { c with Dx.fault_rate = c.Dx.fault_rate +. 0.5 };
+        { c with Dx.policies = c.Dx.policies @ [ List.hd c.Dx.policies ] };
+        { c with Dx.measure_time = not c.Dx.measure_time } ])
+
+module R = E.Resilience
+
+let gen_resilience_config =
+  QCheck2.Gen.(
+    let* seed = int_range 0 1_000_000 in
+    let* k = int_range 1 20 in
+    let* rates = list_size (int_range 1 4) (float_range 0.0 1.0) in
+    let* per_rate = int_range 0 8 in
+    let* periods = int_range 3 50 in
+    let* policy = oneofl [ Dls_flowsim.Faults.Stall; Dls_flowsim.Faults.Kill ] in
+    let* measure_time = bool in
+    return { R.seed; k; rates; per_rate; periods; policy; measure_time })
+
+let resilience_resume_props =
+  resume_props "resilience" gen_resilience_config R.spec (fun c ->
+      [ { c with R.seed = c.R.seed + 1 };
+        { c with R.k = c.R.k + 1 };
+        { c with R.rates = List.map (fun r -> r +. 0.5) c.R.rates };
+        { c with R.per_rate = c.R.per_rate + 1 };
+        { c with R.periods = c.R.periods + 1 };
+        { c with
+          R.policy =
+            (match c.R.policy with
+            | Dls_flowsim.Faults.Stall -> Dls_flowsim.Faults.Kill
+            | Dls_flowsim.Faults.Kill -> Dls_flowsim.Faults.Stall) };
+        { c with R.measure_time = not c.R.measure_time } ])
 
 (* --- Golden outputs ------------------------------------------------ *)
 
@@ -649,8 +756,11 @@ let () =
             test_engine_log_records ] );
       ( "campaign-codec-prop",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_entry_roundtrip; prop_entry_rejects_torn;
-            prop_manifest_roundtrip; prop_manifest_rejects_torn ] );
+          [ prop_entry_roundtrip; prop_entry_rejects_torn ] );
+      ( "engine-resume-prop",
+        List.map QCheck_alcotest.to_alcotest
+          (campaign_resume_props @ dynexp_resume_props
+         @ resilience_resume_props) );
       ( "golden",
         [ Alcotest.test_case "table1 pp" `Quick test_golden_table1_pp;
           Alcotest.test_case "table1 csv" `Quick test_golden_table1_csv;
