@@ -32,6 +32,46 @@ let ks_arg default =
   let doc = "Values of K (number of clusters) to sweep." in
   Arg.(value & opt (list int) default & info [ "ks" ] ~docv:"K,K,..." ~doc)
 
+(* The record-log flags every Engine experiment (campaign, resilience,
+   dynamic) accepts. *)
+type log_flags = {
+  out_jsonl : string option;
+  resume : bool;
+  domains : int option;
+  no_timings : bool;
+}
+
+let log_flags =
+  let out_jsonl =
+    let doc =
+      "Append every record to $(docv) as JSONL (one JSON entry per line) and \
+       maintain a checkpoint manifest at $(docv).manifest."
+    in
+    Arg.(value & opt (some string) None & info [ "out-jsonl" ] ~docv:"FILE" ~doc)
+  in
+  let resume =
+    let doc =
+      "Replay an existing --out-jsonl log, drop any torn trailing line, and \
+       evaluate only the remaining indices."
+    in
+    Arg.(value & flag & info [ "resume" ] ~doc)
+  in
+  let domains =
+    let doc = "Worker domains (default: available cores, capped at 8)." in
+    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"D" ~doc)
+  in
+  let no_timings =
+    let doc =
+      "Record every wall-clock field as 0, making the log byte-reproducible \
+       (used by the determinism tests)."
+    in
+    Arg.(value & flag & info [ "no-timings" ] ~doc)
+  in
+  Term.(
+    const (fun out_jsonl resume domains no_timings ->
+        { out_jsonl; resume; domains; no_timings })
+    $ out_jsonl $ resume $ domains $ no_timings)
+
 let emit ?out table =
   Format.printf "%a" E.Report.pp_table table;
   match out with
@@ -149,21 +189,6 @@ let sweep_cmd =
           $ with_lprr_arg $ out_arg)
 
 let campaign_cmd =
-  let out_jsonl_arg =
-    let doc =
-      "Append every record to $(docv) as JSONL (one JSON entry per line) and \
-       maintain a checkpoint manifest at $(docv).manifest."
-    in
-    Arg.(value & opt (some string) None
-         & info [ "out-jsonl" ] ~docv:"FILE" ~doc)
-  in
-  let resume_arg =
-    let doc =
-      "Replay an existing --out-jsonl log, drop any torn trailing line, and \
-       evaluate only the remaining indices."
-    in
-    Arg.(value & flag & info [ "resume" ] ~doc)
-  in
   let shards_arg =
     let doc = "Partition indices round-robin into $(docv) shards." in
     Arg.(value & opt int 1 & info [ "shards" ] ~docv:"N" ~doc)
@@ -177,10 +202,6 @@ let campaign_cmd =
   let checkpoint_every_arg =
     let doc = "Rewrite the checkpoint manifest every $(docv) records." in
     Arg.(value & opt int 256 & info [ "checkpoint-every" ] ~docv:"N" ~doc)
-  in
-  let domains_arg =
-    let doc = "Worker domains (default: available cores, capped at 8)." in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"D" ~doc)
   in
   let chunk_arg =
     let doc =
@@ -197,34 +218,28 @@ let campaign_cmd =
     let doc = "With --with-lprr, only run LPRR for K up to $(docv)." in
     Arg.(value & opt (some int) None & info [ "lprr-max-k" ] ~docv:"K" ~doc)
   in
-  let no_timings_arg =
-    Arg.(value & flag
-         & info [ "no-timings" ]
-             ~doc:"Record all wall-clock fields as 0, making the log \
-                   byte-reproducible (used by the determinism tests).")
-  in
   let quiet_arg =
     Arg.(value & flag
          & info [ "quiet" ] ~doc:"Suppress progress lines (warnings only).")
   in
-  let run seed ks per_k with_lprr lprr_max_k no_timings shards shard resume
-      out_jsonl checkpoint_every domains chunk quiet obs =
+  let run seed ks per_k with_lprr lprr_max_k log shards shard checkpoint_every
+      chunk quiet obs =
     let config =
       { E.Campaign.seed; ks; per_k; with_lprr; lprr_max_k;
-        measure_time = not no_timings }
+        measure_time = not log.no_timings }
     in
     let stderr_level = if quiet then Dls_obs.Log.Warn else Dls_obs.Log.Info in
     with_obs ~stderr_level obs @@ fun () ->
     match
-      E.Campaign.run ?domains ?chunk ~checkpoint_every ~shards ?shard ~resume
-        ?out:out_jsonl config
+      E.Campaign.run ?domains:log.domains ?chunk ~checkpoint_every ~shards
+        ?shard ~resume:log.resume ?out:log.out_jsonl config
     with
     | Error msg ->
       Format.eprintf "campaign failed: %s@." msg;
       exit 1
     | Ok s ->
       emit (E.Campaign.summary_table s);
-      if not no_timings && s.E.Campaign.s_evaluated > 0 then
+      if not log.no_timings && s.E.Campaign.s_evaluated > 0 then
         emit (E.Campaign.times_table s)
   in
   Cmd.v
@@ -234,10 +249,9 @@ let campaign_cmd =
           sharding, an append-only JSONL record log with a checkpoint \
           manifest, and crash-safe --resume.")
     Term.(const run $ seed_arg 12 $ ks_arg [ 5; 15; 25; 35; 45; 55 ]
-          $ per_k_arg 5 $ with_lprr_arg $ lprr_max_k_arg $ no_timings_arg
-          $ shards_arg $ shard_arg $ resume_arg $ out_jsonl_arg
-          $ checkpoint_every_arg $ domains_arg $ chunk_arg $ quiet_arg
-          $ Obs_cli.term)
+          $ per_k_arg 5 $ with_lprr_arg $ lprr_max_k_arg $ log_flags
+          $ shards_arg $ shard_arg $ checkpoint_every_arg $ chunk_arg
+          $ quiet_arg $ Obs_cli.term)
 
 let resilience_cmd =
   let rates_arg =
@@ -262,54 +276,22 @@ let resilience_cmd =
          & info [ "kill" ]
              ~doc:"Drop transfers wedged by a fault instead of stalling them.")
   in
-  let out_jsonl_arg =
-    let doc =
-      "Append every record to $(docv) as JSONL and maintain a checkpoint \
-       manifest at $(docv).manifest."
-    in
-    Arg.(value & opt (some string) None & info [ "out-jsonl" ] ~docv:"FILE" ~doc)
-  in
-  let resume_arg =
-    let doc = "Replay an existing --out-jsonl log and evaluate only the rest." in
-    Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let domains_arg =
-    let doc = "Worker domains (default: available cores, capped at 8)." in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"D" ~doc)
-  in
-  let no_timings_arg =
-    Arg.(value & flag
-         & info [ "no-timings" ]
-             ~doc:"Record repair wall-clock as 0, making the log \
-                   byte-reproducible.")
-  in
-  let run seed k rates per_rate periods kill no_timings resume out_jsonl domains
-      out obs =
+  let run seed k rates per_rate periods kill log out obs =
     let config =
       { E.Resilience.seed; k; rates; per_rate; periods;
         policy = (if kill then Dls_flowsim.Faults.Kill else Dls_flowsim.Faults.Stall);
-        measure_time = not no_timings }
+        measure_time = not log.no_timings }
     in
     with_obs obs @@ fun () ->
-    let records = ref [] in
     match
-      E.Resilience.run ?domains ~resume ?out:out_jsonl
-        ~on_entry:(function
-          | E.Resilience.Record r -> records := r :: !records
-          | E.Resilience.Skipped _ -> ())
-        config
+      E.Engine.collect E.Resilience.codec (fun ~on_entry ->
+          E.Resilience.run ?domains:log.domains ~resume:log.resume
+            ?out:log.out_jsonl ~on_entry config)
     with
     | Error msg ->
       Format.eprintf "resilience failed: %s@." msg;
       exit 1
-    | Ok _ ->
-      let records =
-        List.sort
-          (fun a b ->
-            Stdlib.compare a.E.Resilience.index b.E.Resilience.index)
-          !records
-      in
-      emit ?out (E.Resilience.table config records)
+    | Ok records -> emit ?out (E.Resilience.table config records)
   in
   Cmd.v
     (Cmd.info "resilience"
@@ -319,8 +301,7 @@ let resilience_cmd =
           platform, and report throughput retained (inherits the campaign \
           runner's checkpoint/resume).")
     Term.(const run $ seed_arg 21 $ k_arg $ rates_arg $ per_rate_arg
-          $ periods_arg $ kill_arg $ no_timings_arg $ resume_arg $ out_jsonl_arg
-          $ domains_arg $ out_arg $ Obs_cli.term)
+          $ periods_arg $ kill_arg $ log_flags $ out_arg $ Obs_cli.term)
 
 let dynamic_cmd =
   let k_arg =
@@ -371,29 +352,8 @@ let dynamic_cmd =
     in
     Arg.(value & opt (some string) None & info [ "events" ] ~docv:"FILE" ~doc)
   in
-  let out_jsonl_arg =
-    let doc =
-      "Append every record to $(docv) as JSONL and maintain a checkpoint \
-       manifest at $(docv).manifest."
-    in
-    Arg.(value & opt (some string) None & info [ "out-jsonl" ] ~docv:"FILE" ~doc)
-  in
-  let resume_arg =
-    let doc = "Replay an existing --out-jsonl log and evaluate only the rest." in
-    Arg.(value & flag & info [ "resume" ] ~doc)
-  in
-  let domains_arg =
-    let doc = "Worker domains (default: available cores, capped at 8)." in
-    Arg.(value & opt (some int) None & info [ "domains" ] ~docv:"D" ~doc)
-  in
-  let no_timings_arg =
-    Arg.(value & flag
-         & info [ "no-timings" ]
-             ~doc:"Record re-plan wall-clock as 0, making the log \
-                   byte-reproducible.")
-  in
   let run seed k platforms jobs rate heavy swf work_scale fault_rate
-      policy_names no_timings resume out_jsonl domains events out obs =
+      policy_names log events out obs =
     let policies =
       List.map
         (fun name ->
@@ -407,26 +367,18 @@ let dynamic_cmd =
     in
     let config =
       { E.Dynexp.seed; k; platforms; jobs; rate; heavy; swf; work_scale;
-        fault_rate; policies; measure_time = not no_timings }
+        fault_rate; policies; measure_time = not log.no_timings }
     in
     with_obs obs @@ fun () ->
-    let records = ref [] in
     match
-      E.Dynexp.run ?domains ~resume ?out:out_jsonl
-        ~on_entry:(function
-          | E.Dynexp.Record r -> records := r :: !records
-          | E.Dynexp.Skipped _ -> ())
-        config
+      E.Engine.collect E.Dynexp.codec (fun ~on_entry ->
+          E.Dynexp.run ?domains:log.domains ~resume:log.resume
+            ?out:log.out_jsonl ~on_entry config)
     with
     | Error msg ->
       Format.eprintf "dynamic failed: %s@." msg;
       exit 1
-    | Ok _ ->
-      let records =
-        List.sort
-          (fun a b -> Stdlib.compare a.E.Dynexp.index b.E.Dynexp.index)
-          !records
-      in
+    | Ok records ->
       emit ?out (E.Dynexp.table config records);
       (match events with
       | None -> ()
@@ -450,9 +402,7 @@ let dynamic_cmd =
           (inherits the campaign runner's checkpoint/resume).")
     Term.(const run $ seed_arg 33 $ k_arg $ platforms_arg $ jobs_arg $ rate_arg
           $ heavy_arg $ swf_arg $ work_scale_arg $ fault_rate_arg
-          $ policies_arg $ no_timings_arg
-          $ resume_arg $ out_jsonl_arg $ domains_arg $ events_arg $ out_arg
-          $ Obs_cli.term)
+          $ policies_arg $ log_flags $ events_arg $ out_arg $ Obs_cli.term)
 
 let adaptivity_cmd =
   let run seed out =
