@@ -9,6 +9,10 @@ let copy t =
 
 let app_throughput t k = Array.fold_left ( +. ) 0.0 t.alpha.(k)
 
+let total_throughput t =
+  Array.fold_left (fun acc row -> acc +. Array.fold_left ( +. ) 0.0 row) 0.0
+    t.alpha
+
 let sum_objective problem t =
   let acc = ref 0.0 in
   for k = 0 to Problem.num_clusters problem - 1 do

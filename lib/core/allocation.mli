@@ -22,6 +22,10 @@ val app_throughput : t -> int -> float
 (** [alpha_k = sum_l alpha.(k).(l)] — load of application [k] processed
     per time unit (Equation 7a's aggregate). *)
 
+val total_throughput : t -> float
+(** [sum_k alpha_k], summed in application order: the payoff-free
+    tiebreak of the repair ladder and the daemon's solver. *)
+
 val sum_objective : Problem.t -> t -> float
 (** Equation 5: [sum_k pi_k * alpha_k]. *)
 

@@ -139,14 +139,6 @@ let run_stage ?objective ?(heuristic = Heuristics.LPRG) ?rng stage degraded
       Heuristics.run ?objective ?rng Heuristics.G degraded
     | Error _ as e -> e)
 
-let total_throughput degraded a =
-  let kk = Problem.num_clusters degraded in
-  let s = ref 0.0 in
-  for k = 0 to kk - 1 do
-    s := !s +. Allocation.app_throughput a k
-  done;
-  !s
-
 let repair ?objective ?heuristic ?rng ?(budgets = default_budgets) degraded
     alloc =
   let obj_kind =
@@ -186,7 +178,7 @@ let repair ?objective ?heuristic ?rng ?(budgets = default_budgets) degraded
         attempts := att :: !attempts;
         (match repaired with
         | Some a ->
-          let score = (att.objective, total_throughput degraded a) in
+          let score = (att.objective, Allocation.total_throughput a) in
           (match !best with
           | Some (_, _, s) when s >= score -> ()
           | _ -> best := Some (stage, a, score))

@@ -213,14 +213,6 @@ type outcome = {
   attempts : attempt list;
 }
 
-let total_throughput problem a =
-  let kk = Problem.num_clusters problem in
-  let s = ref 0.0 in
-  for k = 0 to kk - 1 do
-    s := !s +. Allocation.app_throughput a k
-  done;
-  !s
-
 let m_solve_s = M.histogram "daemon.solve.seconds"
 let m_blowouts = M.counter "daemon.solve.blowouts"
 
@@ -231,9 +223,10 @@ let solve ?(now = Unix.gettimeofday) ?resident ~breaker:b ~objective ~budget_s
   let elapsed () = now () -. t0 in
   let attempts = ref [] in
   let skipped = ref [] in
-  (* Best feasible so far, ranked by (objective, total throughput) with
-     later rungs winning ties — the same ranking Repair uses, so a
-     budget cut returns the strongest allocation already in hand. *)
+  (* Best feasible so far, ranked by (objective, total throughput), so a
+     budget cut returns the strongest allocation already in hand.  A tie
+     goes to the later rung; Repair's ladder breaks ties the other way
+     and keeps the earlier stage. *)
   let best = ref None in
   let attempt rung f =
     let t = now () in
@@ -257,7 +250,7 @@ let solve ?(now = Unix.gettimeofday) ?resident ~breaker:b ~objective ~budget_s
       :: !attempts;
     (match feasible_alloc with
     | Some a ->
-      let score = (obj, total_throughput problem a) in
+      let score = (obj, Allocation.total_throughput a) in
       (match !best with
       | Some (_, _, s) when s > score -> ()
       | _ -> best := Some (rung, a, score))

@@ -58,14 +58,6 @@ type 'r entry = 'r Engine.entry =
 let total_achieved (s : Simulator.stats) =
   Array.fold_left ( +. ) 0.0 s.Simulator.achieved
 
-let total_predicted problem alloc =
-  let kk = Problem.num_clusters problem in
-  let acc = ref 0.0 in
-  for k = 0 to kk - 1 do
-    acc := !acc +. Allocation.app_throughput alloc k
-  done;
-  !acc
-
 (* The fault plan's seed is its own derived function of (seed, index) so
    the plan never depends on how many draws the platform or the
    heuristics consumed. *)
@@ -113,10 +105,10 @@ let evaluate_index config index =
                 0.0 outcome.Repair.attempts
           in
           Some
-            { predicted = total_predicted problem alloc;
+            { predicted = Allocation.total_throughput alloc;
               baseline = total_achieved base;
               faulted = total_achieved fstats;
-              repaired = total_predicted dproblem outcome.Repair.allocation;
+              repaired = Allocation.total_throughput outcome.Repair.allocation;
               stage = outcome.Repair.stage;
               repair_seconds = seconds;
               killed = fstats.Simulator.killed_transfers;
