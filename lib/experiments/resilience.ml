@@ -55,13 +55,22 @@ type 'r entry = 'r Engine.entry =
 (* Evaluation of one index                                             *)
 (* ------------------------------------------------------------------ *)
 
-let total_achieved (s : Simulator.stats) =
-  Array.fold_left ( +. ) 0.0 s.Simulator.achieved
+let total_delivered (s : Simulator.stats) =
+  Array.fold_left ( +. ) 0.0 s.Simulator.delivered
 
 (* The fault plan's seed is its own derived function of (seed, index) so
    the plan never depends on how many draws the platform or the
    heuristics consumed. *)
 let fault_seed config index = config.seed + ((index + 1) * 1_000_003)
+
+(* The measured periods follow a [warmup]-period warm-up.  Faults are
+   drawn over the measured periods and start with them, so no backlog
+   from a warm-up fault is credited to the window.  Each run simulates
+   one period more, so that the work dispatched in the window can finish,
+   and reports the simulator's [delivered]: only work dispatched in the
+   window counts, so a fault that lets a chunk finish early cannot lift
+   the total over the allocation's promise. *)
+let warmup = 2
 
 let evaluate_index config index =
   let rate = rate_of_index config index in
@@ -71,8 +80,13 @@ let evaluate_index config index =
   let problem = Measure.assign_workload rng platform in
   let horizon = float_of_int config.periods in
   let plan =
-    Faults.random ~seed:(fault_seed config index) ~horizon ~link_rate:rate
-      ~cluster_rate:(rate *. 0.5) platform
+    Faults.random ~seed:(fault_seed config index)
+      ~horizon:(float_of_int (config.periods - warmup))
+      ~link_rate:rate ~cluster_rate:(rate *. 0.5) platform
+    |> Faults.events
+    |> List.map (fun e ->
+           { e with Faults.time = e.Faults.time +. float_of_int warmup })
+    |> Faults.make platform
   in
   match
     let degraded = Faults.degraded_at platform plan ~time:horizon in
@@ -89,11 +103,11 @@ let evaluate_index config index =
       match Heuristics.run ~rng:(Prng.split rng) ~relaxation h problem with
       | Error _ -> None
       | Ok alloc -> (
-        let base = Simulator.run ~periods:config.periods problem alloc in
-        let fstats =
-          Simulator.run ~periods:config.periods ~faults:plan
+        let simulate ?faults () =
+          Simulator.run ~periods:(config.periods + 1) ~warmup ?faults
             ~fault_policy:config.policy problem alloc
         in
+        let base = simulate () and fstats = simulate ~faults:plan () in
         match Repair.repair ~rng:(Prng.split rng) dproblem alloc with
         | Error _ -> None
         | Ok outcome ->
@@ -106,8 +120,8 @@ let evaluate_index config index =
           in
           Some
             { predicted = Allocation.total_throughput alloc;
-              baseline = total_achieved base;
-              faulted = total_achieved fstats;
+              baseline = total_delivered base;
+              faulted = total_delivered fstats;
               repaired = Allocation.total_throughput outcome.Repair.allocation;
               stage = outcome.Repair.stage;
               repair_seconds = seconds;

@@ -21,7 +21,10 @@ type config = {
       (** fault event rates (per entity per period); index [i] runs
           [rates.(i / per_rate)] *)
   per_rate : int;  (** platforms per rate *)
-  periods : int;  (** simulated periods ({!Dls_flowsim.Simulator.run}) *)
+  periods : int;
+      (** a 2-period warm-up, then the measured periods; faults start
+          with the measured periods, and each simulation runs one period
+          longer so the work dispatched in them can finish *)
   policy : Dls_flowsim.Faults.policy;  (** what happens to wedged transfers *)
   measure_time : bool;
       (** [false] records repair wall-clock as 0 for byte-reproducible
@@ -39,8 +42,12 @@ val rate_of_index : config -> int -> float
 
 type hres = {
   predicted : float;  (** total throughput promised by the allocation *)
-  baseline : float;  (** simulated fault-free total throughput *)
-  faulted : float;  (** simulated total throughput under the fault plan *)
+  baseline : float;
+      (** simulated fault-free total throughput: the simulator's
+          [delivered], work dispatched in the measured periods *)
+  faulted : float;
+      (** the same measure under the fault plan; neither can exceed
+          [predicted] *)
   repaired : float;
       (** total throughput of the repaired allocation on the degraded
           platform — what a reactive scheduler would promise next *)

@@ -13,6 +13,7 @@ let m_guard_exhausted = M.counter "sim.guard_exhausted"
 type stats = {
   predicted : float array;
   achieved : float array;
+  delivered : float array;
   late_transfers : int;
   stalled_transfers : int;
   killed_transfers : int;
@@ -162,7 +163,7 @@ let run ?(periods = 20) ?(warmup = 2) ?latency ?faults
       float_of_int beta *. !frac *. !min_bw
   in
   let active : flow list ref = ref [] in
-  let arrivals = ref [] in  (* (time, cluster, app, amount) *)
+  let arrivals = ref [] in  (* (time, cluster, app, amount, dispatched) *)
   let late = ref 0 and stalled = ref 0 and killed = ref 0 in
   let faulted = ref false in
   (* Exact-zero tests: degraded capacities are products with an exact
@@ -238,7 +239,7 @@ let run ?(periods = 20) ?(warmup = 2) ?latency ?faults
       let now = float_of_int per in
       for k = 0 to kk - 1 do
         if alloc.A.alpha.(k).(k) > alpha_tol then
-          arrivals := (now, k, k, alloc.A.alpha.(k).(k)) :: !arrivals
+          arrivals := (now, k, k, alloc.A.alpha.(k).(k), now) :: !arrivals
       done
     done
   end
@@ -268,7 +269,7 @@ let run ?(periods = 20) ?(warmup = 2) ?latency ?faults
         if !faulted then cull_if_killing ();
         for k = 0 to kk - 1 do
           if alloc.A.alpha.(k).(k) > alpha_tol then
-            arrivals := (now, k, k, alloc.A.alpha.(k).(k)) :: !arrivals
+            arrivals := (now, k, k, alloc.A.alpha.(k).(k), now) :: !arrivals
         done;
         incr next_spawn
       end;
@@ -330,7 +331,7 @@ let run ?(periods = 20) ?(warmup = 2) ?latency ?faults
         in
         List.iter
           (fun f ->
-            arrivals := (!t +. f.delay, f.dst, f.src, f.amount) :: !arrivals;
+            arrivals := (!t +. f.delay, f.dst, f.src, f.amount, f.spawned) :: !arrivals;
             if !t +. f.delay > f.spawned +. 1.0 +. time_tol then incr late)
           done_;
         active := still
@@ -358,9 +359,19 @@ let run ?(periods = 20) ?(warmup = 2) ?latency ?faults
   let window_start = float_of_int warmup in
   let window = horizon -. window_start in
   let achieved = Array.make kk 0.0 in
+  (* Chunks dispatched in [window_start, horizon - 1): the final period
+     only lets the last of them finish computing. *)
+  let span = window -. 1.0 in
+  let delivered = Array.make kk 0.0 in
+  let credit app dispatched work =
+    achieved.(app) <- achieved.(app) +. work;
+    if dispatched >= window_start -. time_tol
+       && dispatched < window_start +. span -. time_tol
+    then delivered.(app) <- delivered.(app) +. work
+  in
   let by_cluster = Array.make kk [] in
   List.iter
-    (fun ((_, c, _, _) as arrival) -> by_cluster.(c) <- arrival :: by_cluster.(c))
+    (fun ((_, c, _, _, _) as arrival) -> by_cluster.(c) <- arrival :: by_cluster.(c))
     !arrivals;
   (* Speed breakpoints per cluster, in event order (throttles after a
      crash are dead letters, as in [Faults.state]). *)
@@ -382,7 +393,7 @@ let run ?(periods = 20) ?(warmup = 2) ?latency ?faults
     let s = P.speed p c in
     let queue =
       List.sort
-        (fun (t1, _, a1, _) (t2, _, a2, _) -> Stdlib.compare (t1, a1) (t2, a2))
+        (fun (t1, _, a1, _, _) (t2, _, a2, _, _) -> Stdlib.compare (t1, a1) (t2, a2))
         by_cluster.(c)
     in
     match List.rev speed_events.(c) with
@@ -390,14 +401,14 @@ let run ?(periods = 20) ?(warmup = 2) ?latency ?faults
       if s > 0.0 then begin
         let clock = ref 0.0 in
         List.iter
-          (fun (arrival_time, _, app, amount) ->
+          (fun (arrival_time, _, app, amount, dispatched) ->
             let start = Float.max !clock arrival_time in
             let finish = start +. (amount /. s) in
             clock := finish;
             (* Work performed inside [window_start, horizon]. *)
             let lo = Float.max start window_start
             and hi = Float.min finish horizon in
-            if hi > lo then achieved.(app) <- achieved.(app) +. (s *. (hi -. lo)))
+            if hi > lo then credit app dispatched (s *. (hi -. lo)))
           queue
       end
     | brk ->
@@ -447,7 +458,7 @@ let run ?(periods = 20) ?(warmup = 2) ?latency ?faults
       in
       let clock = ref 0.0 in
       List.iter
-        (fun (arrival_time, _, app, amount) ->
+        (fun (arrival_time, _, app, amount, dispatched) ->
           if !clock < infinity then begin
             let start = Float.max !clock arrival_time in
             let finish = finish_time start amount in
@@ -456,11 +467,14 @@ let run ?(periods = 20) ?(warmup = 2) ?latency ?faults
                cut short by a crash still credits what it processed. *)
             let lo = Float.max start window_start
             and hi = Float.min finish horizon in
-            achieved.(app) <- achieved.(app) +. work_between lo hi
+            credit app dispatched (work_between lo hi)
           end)
         queue
   done;
   Array.iteri (fun i w -> achieved.(i) <- w /. window) achieved;
+  Array.iteri
+    (fun i w -> delivered.(i) <- (if span > 0.0 then w /. span else 0.0))
+    delivered;
   let downtime =
     if Faults.is_empty plan then 0.0 else Faults.downtime p plan ~horizon
   in
@@ -469,7 +483,7 @@ let run ?(periods = 20) ?(warmup = 2) ?latency ?faults
       ~args:
         [ ("periods", string_of_int periods);
           ("fault_events", string_of_int fault_events) ];
-  { predicted; achieved; late_transfers = !late; stalled_transfers = !stalled;
+  { predicted; achieved; delivered; late_transfers = !late; stalled_transfers = !stalled;
     killed_transfers = !killed; fault_events; downtime;
     guard_exhausted = !guard_exhausted }
 

@@ -25,6 +25,13 @@ type stats = {
   achieved : float array;
   (** per-application work computed per time unit over the measurement
       window (after warm-up) *)
+  delivered : float array;
+  (** per-application work computed by the horizon from chunks
+      dispatched in periods [[warmup, periods - 1)], per period of that
+      span (0 when it is empty); the last period only lets those chunks
+      finish.  Unlike [achieved], which a fault can lift over
+      [predicted] by letting a chunk finish sooner than it would have
+      fault-free, this never exceeds [predicted] *)
   late_transfers : int;
   (** transfers that completed after the period in which they started *)
   stalled_transfers : int;
