@@ -235,9 +235,12 @@ let validate config =
 
 let policy_name = function Faults.Stall -> "stall" | Faults.Kill -> "kill"
 
-(* ["experiment"] leads the manifest, as it always has. *)
+(* ["experiment"] leads the manifest, as it always has.  ["throughput"]
+   names the measure, so a log of records measured before [delivered]
+   refuses to resume instead of mixing two measures. *)
 let config_fields config =
   [ ("experiment", J.Str "resilience");
+    ("throughput", J.Str "delivered");
     ("seed", J.Num (float_of_int config.seed));
     ("k", J.Num (float_of_int config.k));
     ("rates", J.Arr (List.map (fun r -> J.Num r) config.rates));

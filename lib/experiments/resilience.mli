@@ -85,8 +85,8 @@ val entry_of_line : string -> (record entry, string) result
 
 val spec : config -> record Engine.spec
 (** The experiment as an {!Engine} spec (labelled ["resilience"]); its
-    manifest records ["experiment":"resilience"] and every config
-    field. *)
+    manifest records ["experiment":"resilience"], the measure
+    (["throughput":"delivered"]) and every config field. *)
 
 val run :
   ?domains:int ->

@@ -242,6 +242,25 @@ let test_throttle_slows_compute () =
   Alcotest.(check bool) "roughly quartered" true
     (slow.Sim.achieved.(0) < 0.5 *. fast.Sim.achieved.(0))
 
+(* [delivered] credits only work dispatched inside the window, so no
+   fault plan, however it reshuffles bandwidth and compute, lifts it
+   over the allocation's promise. *)
+let prop_delivered_within_promise =
+  QCheck2.Test.make ~name:"Simulator delivered never exceeds predicted"
+    ~count:40
+    QCheck2.Gen.(pair (int_range 0 10_000) (oneofl [ Faults.Stall; Faults.Kill ]))
+    (fun (seed, fault_policy) ->
+      let pr = random_problem seed in
+      let a = Greedy.solve pr in
+      let plan =
+        Faults.random ~seed ~horizon:10.0 ~link_rate:0.4 ~cluster_rate:0.3
+          (Problem.platform pr)
+      in
+      let s = Sim.run ~periods:10 ~warmup:2 ~faults:plan ~fault_policy pr a in
+      Array.for_all2
+        (fun d p -> d <= p +. (1e-9 *. Float.max 1.0 p))
+        s.Sim.delivered s.Sim.predicted)
+
 (* ------------------------------------------------------------------ *)
 (* Repair                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -296,25 +315,6 @@ let prop_rescale_feasible_on_degraded =
     (fun seed ->
       let dpr, a, _ = degraded_pair seed ~link_rate:0.3 ~cluster_rate:0.2 in
       Allocation.is_feasible dpr (Repair.rescale dpr a))
-
-(* [delivered] credits only work dispatched inside the window, so no
-   fault plan, however it reshuffles bandwidth and compute, lifts it
-   over the allocation's promise. *)
-let prop_delivered_within_promise =
-  QCheck2.Test.make ~name:"Simulator delivered never exceeds predicted"
-    ~count:40
-    QCheck2.Gen.(pair (int_range 0 10_000) (oneofl [ Faults.Stall; Faults.Kill ]))
-    (fun (seed, fault_policy) ->
-      let pr = random_problem seed in
-      let a = Greedy.solve pr in
-      let plan =
-        Faults.random ~seed ~horizon:10.0 ~link_rate:0.4 ~cluster_rate:0.3
-          (Problem.platform pr)
-      in
-      let s = Sim.run ~periods:10 ~warmup:2 ~faults:plan ~fault_policy pr a in
-      Array.for_all2
-        (fun d p -> d <= p +. (1e-9 *. Float.max 1.0 p))
-        s.Sim.delivered s.Sim.predicted)
 
 let prop_repair_ladder_feasible =
   QCheck2.Test.make
@@ -527,13 +527,13 @@ let () =
           Alcotest.test_case "all-stalled short-circuit counts" `Quick
             test_all_stalled_short_circuit_counts;
           Alcotest.test_case "throttle slows compute" `Quick
-            test_throttle_slows_compute ] );
+            test_throttle_slows_compute;
+          QCheck_alcotest.to_alcotest prop_delivered_within_promise ] );
       ( "repair",
         [ Alcotest.test_case "stages feasible after backbone failure" `Quick
             test_repair_stages_feasible_after_backbone_failure ] );
       qsuite "repair-prop"
         [ prop_rescale_feasible_on_degraded; prop_repair_ladder_feasible ];
-      qsuite "simulator-faults-prop" [ prop_delivered_within_promise ];
       ( "resilience",
         [ Alcotest.test_case "codec roundtrip" `Quick
             test_resilience_codec_roundtrip;
