@@ -357,8 +357,10 @@ let within_promise (h : E.Resilience.hres) =
 (* Seed 28, index 2, LPR once read 124.36 against a promise of 118.81:
    faults drawn from time 0 left backlog from the warm-up to drain in the
    measured window.  The plan now starts with the window, and the record
-   is the simulator's [delivered] over one extra period. *)
-let test_resilience_seed28_within_promise () =
+   is the simulator's [delivered] over one extra period, so the record
+   stays within the promise and, a fortiori, within the conservation
+   bound: the window delivers no more than the promise over the run. *)
+let test_resilience_warmup_backlog () =
   let config = { tiny_config with E.Resilience.seed = 28 } in
   let index = 2 in
   let h =
@@ -404,7 +406,11 @@ let test_resilience_seed28_within_promise () =
   Alcotest.(check bool)
     (Printf.sprintf "within the promise (%.2f <= %.2f)" h.E.Resilience.faulted
        h.E.Resilience.predicted)
-    true (within_promise h)
+    true (within_promise h);
+  let promised = h.E.Resilience.predicted *. float_of_int periods in
+  Alcotest.(check bool) "conservation holds" true
+    (h.E.Resilience.faulted *. float_of_int (periods - warmup)
+     <= promised +. (1e-6 *. Float.max 1.0 promised))
 
 (* No heuristic's simulated throughput, faulted or fault-free, exceeds
    what its allocation promises, on any seed of the sweep. *)
@@ -538,8 +544,8 @@ let () =
         [ Alcotest.test_case "codec roundtrip" `Quick
             test_resilience_codec_roundtrip;
           Alcotest.test_case "collect smoke" `Quick test_resilience_collect_smoke;
-          Alcotest.test_case "seed 28 within the promise" `Quick
-            test_resilience_seed28_within_promise;
+          Alcotest.test_case "warm-up backlog within conservation" `Quick
+            test_resilience_warmup_backlog;
           Alcotest.test_case "seeds 1-300 within the promise" `Quick
             test_resilience_sweep_within_promise;
           Alcotest.test_case "resume replays" `Quick test_resilience_resume_replays;
